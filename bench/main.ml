@@ -389,18 +389,18 @@ let bench_modes =
 let slice_reps = 200
 let slice_warmup = 5
 
-(* One suite program: run the full pipeline UNFROZEN inside a telemetry
-   scope, slice every mode with the seed (list-adjacency, Hashtbl+Queue)
-   implementation (the A side), then freeze — timing the compaction —
-   and slice every mode on the CSR layout with per-mode scoped telemetry
-   (the B side).  Each entry records both walls, the freeze wall, a
-   parity bit (A and B returned identical node sets), and per-task
-   counters that are deltas, not process-cumulative values. *)
+(* One suite program: run the full pipeline (frozen CSR graph) inside a
+   telemetry scope, slice every mode with [Slicer.Reference] (the
+   seed's Hashtbl+Queue walk over list rows, the A side), then with the
+   CSR walk under per-mode scoped telemetry (the B side).  Each entry
+   records both walls, the freeze wall (the pipeline's "sdg.freeze"
+   span), a parity bit (A and B returned identical node sets), and
+   per-task counters that are deltas, not process-cumulative values. *)
 let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
   let open Slice_obs.Json in
   let (a, s), pipeline_snap =
     Slice_obs.scoped (fun () ->
-        let a = Engine.of_source ~freeze:false ~file:(name ^ ".tj") src in
+        let a = Engine.of_source ~file:(name ^ ".tj") src in
         (a, Engine.stats_of a))
   in
   let g = a.Engine.sdg in
@@ -415,8 +415,8 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
      done
    with Exit -> ());
   let seeds = match !seed with None -> [] | Some s -> [ s ] in
-  (* A: the seed implementation over list adjacency (graph not yet frozen) *)
-  let list_results =
+  (* A: the reference walk *)
+  let ref_results =
     List.map
       (fun mode ->
         let nodes = ref [] in
@@ -432,12 +432,14 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
         (mode, !nodes, wall))
       bench_modes
   in
-  (* the freeze (compaction) phase, timed *)
-  let (), freeze_wall = time (fun () -> Sdg.freeze g) in
+  let freeze_wall =
+    Option.value ~default:0.
+      (List.assoc_opt "sdg.freeze" (Slice_obs.span_totals pipeline_snap))
+  in
   (* B: the CSR walk, with per-mode isolated telemetry *)
   let slices =
     List.map
-      (fun (mode, list_nodes, list_wall) ->
+      (fun (mode, ref_nodes, ref_wall) ->
         (* warm up outside the telemetry scope so the recorded counters
            correspond exactly to the [slice_reps] timed iterations *)
         for _ = 1 to slice_warmup do
@@ -466,9 +468,9 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
             ("lines", Int (List.length lines));
             ("reps", Int slice_reps);
             ("wall_s_csr", Float csr_wall);
-            ("wall_s_list", Float list_wall);
-            ("speedup", Float (if csr_wall > 0. then list_wall /. csr_wall else 0.));
-            ("parity", Bool (csr_nodes = list_nodes));
+            ("wall_s_reference", Float ref_wall);
+            ("speedup", Float (if csr_wall > 0. then ref_wall /. csr_wall else 0.));
+            ("parity", Bool (csr_nodes = ref_nodes));
             ("counters",
              Obj
                (List.filter_map
@@ -477,7 +479,7 @@ let bench_entry (name : string) (src : string) : Slice_obs.Json.t =
                       Some (k, Int v)
                     else None)
                   mode_snap.Slice_obs.snap_counters)) ])
-      list_results
+      ref_results
   in
   Obj
     [ ("name", Str name);
@@ -532,8 +534,8 @@ let bench_task (t : Task.t) : Slice_obs.Json.t =
    [Engine.slice_batch_par] at 2 and 4 domains.  Each parallel entry
    records its wall, the speedup over sequential, and a parity bit
    (line-for-line equality with the sequential batch) — the parity bits
-   share the "parity" key with the CSR/list bits so the CI grep covers
-   both.  Walls are honest measurements on whatever cores the host has;
+   share the "parity" key with the CSR/Reference bits so the CI grep
+   covers both.  Walls are honest measurements on whatever cores the host has;
    on a single-core container the speedup hovers around (or below) 1. *)
 let parallel_batch_reps = 5
 
@@ -596,8 +598,8 @@ let bench_parallel_batch () : Slice_obs.Json.t =
    bits:
    identical points-to sets (canonical-key dump), identical call graph,
    and identical thin + traditional slices over SDGs built from either
-   result.  The combined bit shares the "parity" key with the CSR/list
-   and parallel-batch bits so the CI grep covers all three families.
+   result.  The combined bit shares the "parity" key with the
+   CSR/Reference and parallel-batch bits so the CI grep covers all three families.
    Walls are honest single-host measurements. *)
 let pta_reps = 20
 
@@ -705,8 +707,7 @@ let bench_pta_ab () : Slice_obs.Json.t list =
    the resident analysis.  Three self-checked claims, enforced in
    [json_results] before the artifact is written:
    - parity: the hot result byte-equals the one-shot Engine path the
-     CLI runs (load + run_query + query_result_to_json), under both
-     pointer-analysis solvers;
+     CLI runs (load + run_query + query_result_to_json);
    - hot_zero_reanalysis: the hot responses' per-query span snapshots
      contain no front/pta/sdg phase at all — cache hits re-analyze
      NOTHING, they only walk;
@@ -733,20 +734,18 @@ let bench_serve_ab () : Slice_obs.Json.t =
     let sorted = Array.of_list (List.sort_uniq compare !ls) in
     sorted.(Array.length sorted / 2)
   in
-  let request solver =
+  let request =
     Obj
       [ ("id", Int 1); ("method", Str "slice");
         ("params",
-         Obj
-           [ ("source", Str src); ("file", Str file);
-             ("solver", Str solver); ("line", Int line) ]) ]
+         Obj [ ("source", Str src); ("file", Str file); ("line", Int line) ]) ]
   in
   let result_of (resp : Slice_obs.Json.t) : string =
     match member "result" resp with
     | Some r -> to_string r
     | None -> failwith ("serve_ab: error response " ^ to_string resp)
   in
-  let run st solver = result_of (Serve.handle_request st (request solver)).Serve.resp in
+  let run st = result_of (Serve.handle_request st request).Serve.resp in
   (* cold: a fresh daemon per query pays the full pipeline every time *)
   let cold_res = ref "" in
   let () = Gc.full_major () in
@@ -754,7 +753,7 @@ let bench_serve_ab () : Slice_obs.Json.t =
     time (fun () ->
         for _ = 1 to serve_cold_reps do
           let st = Serve.create_state Serve.default_config in
-          cold_res := run st "bitset"
+          cold_res := run st
         done)
   in
   (* hot: one daemon, resident program; first (miss) query untimed.
@@ -763,7 +762,7 @@ let bench_serve_ab () : Slice_obs.Json.t =
   let st = Serve.create_state Serve.default_config in
   let was_enabled = Slice_obs.enabled () in
   Slice_obs.set_enabled true;
-  ignore (run st "bitset");
+  ignore (run st);
   let hot_zero_reanalysis = ref true in
   let hot_res = ref "" in
   let check_phases (resp : Slice_obs.Json.t) =
@@ -789,24 +788,20 @@ let bench_serve_ab () : Slice_obs.Json.t =
   let _, hot_wall =
     time (fun () ->
         for _ = 1 to serve_hot_reps do
-          let o = Serve.handle_request st (request "bitset") in
+          let o = Serve.handle_request st request in
           check_phases o.Serve.resp;
           hot_res := result_of o.Serve.resp
         done)
   in
   Slice_obs.set_enabled was_enabled;
   (* parity vs the one-shot Engine path (what `thinslice slice --json`
-     prints), under both solvers *)
-  let oneshot solver =
-    let h = Engine.load ~solver [ (file, src) ] in
+     prints) *)
+  let oneshot =
+    let h = Engine.load [ (file, src) ] in
     let q = Engine.Q_slice { line; mode = Slicer.Thin; forward = false } in
     to_string (Engine.query_result_to_json h q (Engine.run_query h q))
   in
-  let parity_bitset = !hot_res = oneshot `Bitset && !hot_res = !cold_res in
-  let parity_reference =
-    let st = Serve.create_state Serve.default_config in
-    run st "reference" = oneshot `Reference
-  in
+  let parity = !hot_res = oneshot && !hot_res = !cold_res in
   let qps reps wall = if wall > 0. then float_of_int reps /. wall else 0. in
   let qps_cold = qps serve_cold_reps cold_wall in
   let qps_hot = qps serve_hot_reps hot_wall in
@@ -821,9 +816,7 @@ let bench_serve_ab () : Slice_obs.Json.t =
       ("qps_hot", Float qps_hot);
       ("speedup", Float (if qps_cold > 0. then qps_hot /. qps_cold else 0.));
       ("hot_zero_reanalysis", Bool !hot_zero_reanalysis);
-      ("parity_bitset", Bool parity_bitset);
-      ("parity_reference", Bool parity_reference);
-      ("parity", Bool (parity_bitset && parity_reference)) ]
+      ("parity", Bool parity) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve incremental: one-method edit vs from-scratch re-analysis      *)
@@ -1107,48 +1100,15 @@ let bench_ir_arena () : Slice_obs.Json.t list =
 
 (* Synthesized mega-workloads ([Gen_tj.generate_scaled]) through the
    whole pipeline with per-phase walls: gen -> front -> arena -> pta ->
-   SDG at heap_jobs 1/2/4 (adjacency-checksum parity) -> mod-ref at
-   jobs 1/2/4 (set parity) -> freeze -> batch slice, plus a
+   SDG build -> mod-ref -> freeze -> batch slice, plus a
    [Slicer.Reference] parity sample, a dynamic-oracle sample with a
    raised trace budget, and the process peak heap.  Every parity bit
    and the statement-count calibration are self-checked before the
    artifact is written; stdout mirrors the greppable keys CI matches.
-
-   Honesty note: this container usually exposes ONE core —
-   [Domain.recommended_domain_count () = 1] — so the jobs>1 walls
-   measure sharding overhead, not speedup.  The parity bits are the
-   point: the sharded paths must be byte-identical at every job count,
-   so a multicore host gets the speedup for free.  meta.cores records
-   what this host had. *)
+   Every phase runs on one domain: sharding the SDG heap wiring and the
+   mod-ref direct pass across 2 domains measured no faster on a 2-core
+   host, so both passes are sequential. *)
 let huge_schema_version = "thinslice.huge/v1"
-
-(* Checksum of the SDG adjacency, order-sensitive within each row:
-   equal checksums mean the sharded heap wiring emitted edge-for-edge
-   the same graph in the same order as the sequential pass. *)
-let sdg_checksum (g : Sdg.t) : int =
-  let h = ref 0 in
-  for n = 0 to Sdg.num_nodes g - 1 do
-    Sdg.deps_iter g n (fun m k ->
-        h := (!h * 31) + (n * 16381) + (m * 8191) + Sdg.edge_kind_tag k)
-  done;
-  !h
-
-let modref_equal (num_mctxs : int) (a : Slice_pta.Modref.t)
-    (b : Slice_pta.Modref.t) : bool =
-  let ok = ref true in
-  for mc = 0 to num_mctxs - 1 do
-    if
-      (not
-         (Slice_pta.Modref.LocSet.equal
-            (Slice_pta.Modref.mod_of a mc)
-            (Slice_pta.Modref.mod_of b mc)))
-      || not
-           (Slice_pta.Modref.LocSet.equal
-              (Slice_pta.Modref.ref_of a mc)
-              (Slice_pta.Modref.ref_of b mc))
-    then ok := false
-  done;
-  !ok
 
 let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   let open Slice_obs.Json in
@@ -1180,54 +1140,15 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
     (Slice_ir.Arena.bytes arena);
   let pta, pta_wall = time (fun () -> Slice_pta.Andersen.analyze p) in
   Printf.printf "phase=pta wall_s=%.3f\n%!" pta_wall;
-  (* SDG heap wiring A/B: sequential vs sharded, checksum parity *)
-  let g1, sdg1_wall = time (fun () -> Sdg.build ~arena ~heap_jobs:1 p pta) in
-  let c1 = sdg_checksum g1 in
-  let sdg_jobs_entries, parity_sdg =
-    List.fold_left
-      (fun (entries, par) jobs ->
-        let g, w = time (fun () -> Sdg.build ~arena ~heap_jobs:jobs p pta) in
-        let ok = sdg_checksum g = c1 && Sdg.num_edges g = Sdg.num_edges g1 in
-        Printf.printf "phase=sdg jobs=%d wall_s=%.3f parity=%b\n%!" jobs w ok;
-        ( entries
-          @ [ Obj
-                [ ("jobs", Int jobs);
-                  ("wall_s", Float w);
-                  ("parity", Bool ok) ] ],
-          par && ok ))
-      ( [ Obj [ ("jobs", Int 1); ("wall_s", Float sdg1_wall) ] ],
-        parity_arena_views )
-      [ 2; 4 ]
-  in
-  Printf.printf "phase=sdg jobs=1 wall_s=%.3f\n%!" sdg1_wall;
-  (* mod-ref direct pass A/B *)
-  let num_mctxs = Slice_pta.Andersen.num_call_graph_nodes pta in
-  let mr1, mr1_wall =
-    time (fun () -> Slice_pta.Modref.compute ~jobs:1 p pta)
-  in
-  Printf.printf "phase=modref jobs=1 wall_s=%.3f\n%!" mr1_wall;
-  let modref_entries, parity_modref =
-    List.fold_left
-      (fun (entries, par) jobs ->
-        let mr, w =
-          time (fun () -> Slice_pta.Modref.compute ~jobs p pta)
-        in
-        let ok = modref_equal num_mctxs mr1 mr in
-        Printf.printf "phase=modref jobs=%d wall_s=%.3f parity=%b\n%!" jobs w
-          ok;
-        ( entries
-          @ [ Obj
-                [ ("jobs", Int jobs);
-                  ("wall_s", Float w);
-                  ("parity", Bool ok) ] ],
-          par && ok ))
-      ([ Obj [ ("jobs", Int 1); ("wall_s", Float mr1_wall) ] ], true)
-      [ 2; 4 ]
-  in
-  let (), freeze_wall = time (fun () -> Sdg.freeze g1) in
-  Printf.printf "phase=freeze wall_s=%.3f\n%!" freeze_wall;
+  let g, sdg_wall = time (fun () -> Sdg.build ~arena p pta) in
+  Printf.printf "phase=sdg wall_s=%.3f\n%!" sdg_wall;
+  let _, modref_wall = time (fun () -> Slice_pta.Modref.compute p pta) in
+  Printf.printf "phase=modref wall_s=%.3f\n%!" modref_wall;
+  let (), freeze_wall = time (fun () -> Sdg.freeze g) in
+  Printf.printf "phase=freeze wall_s=%.3f edges=%d\n%!" freeze_wall
+    (Sdg.num_edges g);
   let a =
-    { Engine.program = p; pta; sdg = g1; arena; obj_sens = true }
+    { Engine.program = p; pta; sdg = g; arena; obj_sens = true }
   in
   (* batch slice over sampled seed-bearing lines (strided, so the sample
      spans the whole program, plus the generator's trailing print) *)
@@ -1362,8 +1283,7 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "peak_heap_bytes=%d\n%!" peak_heap_bytes;
   let accuracy_ok = err_pct <= 5.0 in
   let parity =
-    accuracy_ok && parity_sdg && parity_modref && parity_reference
-    && dyn_contained
+    accuracy_ok && parity_arena_views && parity_reference && dyn_contained
   in
   Printf.printf "parity=%b\n%!" parity;
   let doc =
@@ -1383,8 +1303,8 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("front_wall_s", Float front_wall);
              ("arena_wall_s", Float arena_wall);
              ("pta_wall_s", Float pta_wall);
-             ("sdg", List sdg_jobs_entries);
-             ("modref", List modref_entries);
+             ("sdg_wall_s", Float sdg_wall);
+             ("modref_wall_s", Float modref_wall);
              ("freeze_wall_s", Float freeze_wall);
              ("batch_slice_wall_s", Float batch_wall);
              ("reference_wall_s", Float ref_wall);
@@ -1404,8 +1324,6 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
              ("events", Int (Slice_interp.Dyntrace.length trace));
              ("contained", Bool dyn_contained) ]);
         ("parity_arena_views", Bool parity_arena_views);
-        ("parity_sdg_jobs", Bool parity_sdg);
-        ("parity_modref_jobs", Bool parity_modref);
         ("parity_reference", Bool parity_reference);
         ("accuracy_ok", Bool accuracy_ok);
         ("parity", Bool parity) ]
@@ -1422,9 +1340,9 @@ let pipeline_huge ?(stmts = 100_000) ?(out = "BENCH_huge.json") () =
   Printf.printf "wrote %s\n%!" out;
   if not parity then begin
     Printf.eprintf
-      "pipeline-huge: self-check failed (accuracy_ok=%b sdg=%b modref=%b \
+      "pipeline-huge: self-check failed (accuracy_ok=%b arena_views=%b \
        reference=%b dyn_contained=%b)\n"
-      accuracy_ok parity_sdg parity_modref parity_reference dyn_contained;
+      accuracy_ok parity_arena_views parity_reference dyn_contained;
     exit 1
   end
 
@@ -1456,8 +1374,8 @@ let json_results ?(out = "BENCH_results.json") () =
     pta_ab;
   let serve_ab = bench_serve_ab () in
   (* self-check: the serve cache must actually serve — hot >= 10x cold
-     queries/sec, byte parity with the one-shot path under both
-     solvers, and zero re-analysis on every hot response *)
+     queries/sec, byte parity with the one-shot path, and zero
+     re-analysis on every hot response *)
   (match member "speedup" serve_ab with
   | Some (Float f) when Float.is_finite f && f >= 10. -> ()
   | Some (Float f) ->
@@ -1581,7 +1499,7 @@ let read_json (path : string) : Slice_obs.Json.t =
 (* Project a BENCH_results document onto the drift-sensitive facts: per
    benchmark and mode the slice node/line counts, per task the thin/trad
    inspection counts.  Also *validates* every per-mode parity bit (the
-   CSR walk agreed with the list-adjacency reference). *)
+   CSR walk agreed with [Slicer.Reference]). *)
 let extract_slice_sizes (doc : Slice_obs.Json.t) : Slice_obs.Json.t =
   let open Slice_obs.Json in
   let str what = function
@@ -1612,7 +1530,7 @@ let extract_slice_sizes (doc : Slice_obs.Json.t) : Slice_obs.Json.t =
                    | _ ->
                      failwith
                        (Printf.sprintf
-                          "benchmark %s, mode %s: CSR/list slice parity failed"
+                          "benchmark %s, mode %s: CSR/Reference slice parity failed"
                           name mode));
                    ( mode,
                      Obj

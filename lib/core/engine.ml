@@ -20,9 +20,10 @@ let g_arena_bytes = Slice_obs.gauge "ir.arena_bytes"
 (* The back half of [analyze]: arena + SDG over an ALREADY-SOLVED
    points-to result.  Also the dedicated entry of the incremental
    re-solve ([Andersen.resolve_delta] mutates the existing result in
-   place, after which only the derived layers need rebuilding). *)
-let analyze_with_pta ?(freeze = true) ~(obj_sens : bool)
-    (pta : Andersen.result) (program : Program.t) : analysis =
+   place, after which only the derived layers need rebuilding), and the
+   way tests run the pipeline over the reference solver's result. *)
+let analyze_with_pta ~(obj_sens : bool) (pta : Andersen.result)
+    (program : Program.t) : analysis =
   (* Lower the reachable IR into the flat arena before the SDG pass
      reads it: strings interned once, operands packed into int arrays.
      Pass 1 of [Sdg.build] walks the arena columns instead of the record
@@ -36,43 +37,26 @@ let analyze_with_pta ?(freeze = true) ~(obj_sens : bool)
   let sdg =
     Slice_obs.span "sdg.build" (fun () -> Sdg.build ~arena program pta)
   in
-  (* Compact to the immutable CSR layout (recorded under "sdg.freeze");
-     [freeze:false] keeps the mutable list adjacency, for parity tests
-     and the BENCH A/B baseline. *)
-  if freeze then Sdg.freeze sdg;
+  (* Compact to the immutable CSR layout (recorded under "sdg.freeze"). *)
+  Sdg.freeze sdg;
   { program; pta; sdg; arena; obj_sens }
 
-let analyze ?(obj_sens = true) ?(freeze = true) ?(solver = `Bitset)
-    (program : Program.t) : analysis =
+let analyze ?(obj_sens = true) (program : Program.t) : analysis =
   let opts =
     if obj_sens then Andersen.default_opts else Andersen.no_obj_sens_opts
   in
-  let pta =
-    match solver with
-    | `Bitset -> Andersen.analyze ~opts program
-    | `Reference ->
-      (* [Andersen.Reference] is telemetry-free by design (it is the
-         byte-comparable oracle), so the pipeline spans are recorded
-         here instead; the result is lifted into the main
-         representation so everything downstream is unchanged. *)
-      Slice_obs.span "pta" (fun () ->
-          Slice_obs.span "pta.solve" (fun () ->
-              Andersen.of_reference (Andersen.Reference.analyze ~opts program)))
-  in
-  analyze_with_pta ~freeze ~obj_sens pta program
+  analyze_with_pta ~obj_sens (Andersen.analyze ~opts program) program
 
-let of_source ?container_classes ?obj_sens ?freeze ?solver ~(file : string)
-    (src : string) : analysis =
-  analyze ?obj_sens ?freeze ?solver
-    (Slice_front.Frontend.load_exn ?container_classes ~file src)
+let of_source ?container_classes ?obj_sens ~(file : string) (src : string) :
+    analysis =
+  analyze ?obj_sens (Slice_front.Frontend.load_exn ?container_classes ~file src)
 
 (* Multi-file variant: the units are loaded as one program (see
    [Frontend.load_many_exn]) so slices can span files while every
    location keeps the file it came from. *)
-let of_sources ?container_classes ?obj_sens ?freeze ?solver
-    (units : (string * string) list) : analysis =
-  analyze ?obj_sens ?freeze ?solver
-    (Slice_front.Frontend.load_many_exn ?container_classes units)
+let of_sources ?container_classes ?obj_sens (units : (string * string) list) :
+    analysis =
+  analyze ?obj_sens (Slice_front.Frontend.load_many_exn ?container_classes units)
 
 (* Seed selection: all SDG nodes for statements on a source line.  When the
    line holds several statements, [prefer] can narrow to one kind. *)
@@ -129,9 +113,7 @@ let slice_from_line ?filter (a : analysis) ~(line : int) (mode : Slicer.mode) :
 
 (* Many slices over one graph: seed resolution per line, then one batched
    walk with reused scratch buffers.  Returns, per input line (in input
-   order), the sorted distinct source line numbers of the slice.  Runs on
-   whatever adjacency the analysis carries: the graph is NOT frozen here,
-   so an [analyze ~freeze:false] A/B baseline stays on the list shims. *)
+   order), the sorted distinct source line numbers of the slice. *)
 let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
     (mode : Slicer.mode) : (int * int list) list =
   let seeds_list = List.map (fun l -> seeds_at_line_exn ?filter a l) lines in
@@ -148,18 +130,14 @@ let slice_batch ?filter ?(forward = false) (a : analysis) ~(lines : int list)
    [jobs] worker domains, each walking the shared frozen CSR graph with
    its own scratch handle and its own per-domain telemetry registry.
    Seeds are resolved sequentially up front so [No_seed] behaviour is
-   deterministic and identical to {!slice_batch}.  Workers never mutate
-   the graph — freezing before spawning is what makes the concurrent
-   reads safe — and each worker's telemetry snapshot is merged back into
-   the calling domain after [Domain.join], even when a worker raised. *)
+   deterministic and identical to {!slice_batch}.  Workers only read the
+   immutable CSR arrays, and each worker's telemetry snapshot is merged
+   back into the calling domain after [Domain.join], even when a worker
+   raised. *)
 let slice_batch_par ?filter ?(forward = false) ?(jobs = 1) (a : analysis)
     ~(lines : int list) (mode : Slicer.mode) : (int * int list) list =
   if jobs <= 1 then slice_batch ?filter ~forward a ~lines mode
   else begin
-    (* Concurrent readers require the immutable CSR arrays: the list
-       adjacency is only written during construction, but freezing here
-       guarantees no lazy compaction can ever race with the walkers. *)
-    Sdg.freeze a.sdg;
     let seeds = Array.of_list (List.map (fun l -> seeds_at_line_exn ?filter a l) lines) in
     let n = Array.length seeds in
     let jobs = min jobs (max 1 n) in
@@ -257,12 +235,7 @@ let witness_from_line ?filter ?(jobs = 1) (a : analysis) ~(seed_line : int)
   if targets = [] then raise (No_seed line);
   let prov = Slicer.create_provenance a.sdg in
   let walk () = ignore (Slicer.slice ~prov a.sdg ~seeds mode) in
-  if jobs <= 1 then walk ()
-  else begin
-    (* Concurrent-read safety for the worker, as in [slice_batch_par]. *)
-    Sdg.freeze a.sdg;
-    in_worker_domain walk
-  end;
+  if jobs <= 1 then walk () else in_worker_domain walk;
   let best =
     List.fold_left
       (fun acc n ->
@@ -352,7 +325,6 @@ let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
       let results =
         if jobs <= 1 then List.map run walks
         else begin
-          Sdg.freeze a.sdg;
           let doms =
             List.map
               (fun w ->
@@ -741,20 +713,22 @@ type handle = {
   h_sources : (string * string) list;
   h_container_classes : string list option;
   h_obj_sens : bool;
-  h_solver : [ `Bitset | `Reference ];
+  h_solver : [ `Bitset ];
+      (* always [`Bitset] and read by nothing; kept only because existing
+         record literals name the field *)
 }
 
-let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
+let load ?container_classes ?(obj_sens = true)
     (units : (string * string) list) : handle =
   let h, snap =
     Slice_obs.scoped (fun () ->
-        let a = of_sources ?container_classes ~obj_sens ~solver units in
+        let a = of_sources ?container_classes ~obj_sens units in
         { h_analysis = a;
           h_stats = stats_of a;
           h_sources = units;
           h_container_classes = container_classes;
           h_obj_sens = obj_sens;
-          h_solver = solver })
+          h_solver = `Bitset })
   in
   ignore snap;
   h
@@ -775,9 +749,9 @@ let load ?container_classes ?(obj_sens = true) ?(solver = `Bitset)
      and SDG rebuilt over the patched solution — frontend AND the
      unaffected part of the solve skipped;
    - [Resolved_fresh]: summary moved and the incremental re-solve was
-     unavailable (reference solver) or declined (cone too large a
-     fraction of the node universe): fresh points-to solve and SDG
-     over the mutated program — frontend still skipped;
+     declined (cone too large a fraction of the node universe): fresh
+     points-to solve and SDG over the mutated program — frontend still
+     skipped;
    - [Rebuilt]: full reload from the new sources (structural edit, or
      fallback after a mid-incremental failure).
 
@@ -824,7 +798,7 @@ let update (h : handle) (new_sources : (string * string) list) :
         Slice_obs.add_span_arg "path" "rebuilt";
         let h' =
           load ?container_classes:h.h_container_classes ~obj_sens:h.h_obj_sens
-            ~solver:h.h_solver new_sources
+            new_sources
         in
         let total = Andersen.num_call_graph_nodes h'.h_analysis.pta in
         ( h',
@@ -838,7 +812,7 @@ let update (h : handle) (new_sources : (string * string) list) :
       (* Shared tail of the two resolved tiers: fresh points-to solve
          and SDG over the (already mutated) program. *)
       let resolved_fresh (a : analysis) (p : Program.t) ~(n_changed : int) =
-        let a' = analyze ~obj_sens:a.obj_sens ~solver:h.h_solver p in
+        let a' = analyze ~obj_sens:a.obj_sens p in
         Slice_obs.bump c_update_resolved_fresh;
         Slice_obs.add_span_arg "path" "resolved-fresh";
         let total = Andersen.num_call_graph_nodes a'.pta in
@@ -853,39 +827,36 @@ let update (h : handle) (new_sources : (string * string) list) :
             up_nodes_dead = 0;
             up_nodes_new = 0 } )
       in
-      (* Bitset results carry constraint provenance: retract exactly the
-         affected methods and re-solve the cone in place
+      (* The solved result carries constraint provenance: retract
+         exactly the affected methods and re-solve the cone in place
          ([Andersen.resolve_delta]), rebuilding only the derived layers.
-         Falls back to a fresh solve when the solver has no provenance
-         (reference handles) or declines the cone as too large. *)
+         Falls back to a fresh solve when the result has no provenance
+         or the solver declines the cone as too large. *)
       let resolve_or_fresh (a : analysis) (p : Program.t)
           ~(retracted : Instr.method_qname list)
           ~(added : Instr.method_qname list) ~(n_changed : int) =
-        match h.h_solver with
-        | `Reference -> resolved_fresh a p ~n_changed
-        | `Bitset -> (
-          match Andersen.resolve_delta a.pta ~retracted ~added with
-          | Error (`Cone_too_big | `No_provenance) ->
-            resolved_fresh a p ~n_changed
-          | Ok ds ->
-            let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
-            Slice_obs.bump c_update_resolved_incr;
-            Slice_obs.add_span_arg "path" "resolved-incremental";
-            Slice_obs.add_span_arg "cone_nodes"
-              (string_of_int ds.Andersen.ds_cone_nodes);
-            Slice_obs.add_span_arg "retracted_mctxs"
-              (string_of_int ds.Andersen.ds_retracted_mctxs);
-            let total = Andersen.num_call_graph_nodes a'.pta in
-            ( { h with
-                h_analysis = a';
-                h_sources = new_sources;
-                h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
-              { up_path = Resolved_incremental;
-                up_relowered = n_changed;
-                up_segments_refrozen = total;
-                up_segments_total = total;
-                up_nodes_dead = 0;
-                up_nodes_new = 0 } ))
+        match Andersen.resolve_delta a.pta ~retracted ~added with
+        | Error (`Cone_too_big | `No_provenance) ->
+          resolved_fresh a p ~n_changed
+        | Ok ds ->
+          let a' = analyze_with_pta ~obj_sens:a.obj_sens a.pta p in
+          Slice_obs.bump c_update_resolved_incr;
+          Slice_obs.add_span_arg "path" "resolved-incremental";
+          Slice_obs.add_span_arg "cone_nodes"
+            (string_of_int ds.Andersen.ds_cone_nodes);
+          Slice_obs.add_span_arg "retracted_mctxs"
+            (string_of_int ds.Andersen.ds_retracted_mctxs);
+          let total = Andersen.num_call_graph_nodes a'.pta in
+          ( { h with
+              h_analysis = a';
+              h_sources = new_sources;
+              h_stats = stats_of ~obs:(edge_census_snapshot a'.sdg) a' },
+            { up_path = Resolved_incremental;
+              up_relowered = n_changed;
+              up_segments_refrozen = total;
+              up_segments_total = total;
+              up_nodes_dead = 0;
+              up_nodes_new = 0 } )
       in
       match Slice_front.Delta.diff ~old_sources:h.h_sources ~new_sources with
       | Slice_front.Delta.Same ->
@@ -948,7 +919,7 @@ let update (h : handle) (new_sources : (string * string) list) :
               old_summaries new_summaries
           in
           let n_changed = List.length changed in
-          if summaries_equal && Sdg.is_frozen a.sdg then begin
+          if summaries_equal then begin
             (* Patch in place: the old and new site lists zip
                positionally into a remap (summary equality guarantees
                equal length and matching roles), the solved points-to
@@ -1110,7 +1081,7 @@ let update (h : handle) (new_sources : (string * string) list) :
                 end)
               md.Slice_front.Delta.dm_line_maps;
             let n_changed = List.length added_mqs in
-            if neutral && Sdg.is_frozen a.sdg then begin
+            if neutral then begin
               (* Nothing in the solved analysis refers to the edit: the
                  points-to result, SDG rows and node set are all still
                  exact.  [Sdg.patch] with no changed methods rebuilds

@@ -16,29 +16,20 @@ type analysis = {
 }
 
 (** Run the points-to analysis (object-sensitive container cloning on by
-    default, as in the paper's section 6.1) and build the dependence
-    graph.  By default the graph is then frozen into its immutable CSR
-    layout (see {!Sdg.freeze}); [freeze:false] keeps the mutable list
-    adjacency — used by parity tests and the BENCH A/B baseline.
+    default, as in the paper's section 6.1), build the dependence graph
+    and freeze it into its immutable CSR layout (see {!Sdg.freeze}). *)
+val analyze : ?obj_sens:bool -> Program.t -> analysis
 
-    [solver] selects the points-to solver: [`Bitset] (default) is the
-    bitset / cycle-collapsing worklist solver; [`Reference] runs the
-    original list/tree oracle ({!Andersen.Reference}) and lifts its
-    result via {!Andersen.of_reference} — used by parity tests and the
-    [pta_ab] benchmark. *)
-val analyze :
-  ?obj_sens:bool ->
-  ?freeze:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
-  Program.t ->
-  analysis
+(** The back half of {!analyze}: arena, SDG and freeze over an already
+    solved points-to result.  [obj_sens] only records how [pta] was
+    solved.  Tests run the reference solver through it:
+    [analyze_with_pta ~obj_sens (Andersen.of_reference r) p]. *)
+val analyze_with_pta : obj_sens:bool -> Andersen.result -> Program.t -> analysis
 
 (** Parse, typecheck, lower and analyze a TJ source text. *)
 val of_source :
   ?container_classes:string list ->
   ?obj_sens:bool ->
-  ?freeze:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
   file:string ->
   string ->
   analysis
@@ -49,8 +40,6 @@ val of_source :
 val of_sources :
   ?container_classes:string list ->
   ?obj_sens:bool ->
-  ?freeze:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
   (string * string) list ->
   analysis
 
@@ -79,10 +68,8 @@ val slice_from_line :
     {!Slicer.slice_batch}).  Returns, per input line in input order, the
     sorted distinct source line numbers of its slice (deduplicated across
     files — see {!Slicer.locs_to_line_numbers}).  [forward:true] slices
-    forward (impact analysis).  Respects the analysis's [freeze] choice:
-    the graph is NOT frozen here, so a [analyze ~freeze:false] baseline
-    keeps running on the list adjacency.  Raises {!No_seed} for a line
-    with no statements. *)
+    forward (impact analysis).  Raises {!No_seed} for a line with no
+    statements. *)
 val slice_batch :
   ?filter:seed_filter ->
   ?forward:bool ->
@@ -93,8 +80,7 @@ val slice_batch :
 
 (** {!slice_batch} sharded across [jobs] OCaml 5 domains.  Seeds are
     resolved sequentially in input order (so {!No_seed} behaviour is
-    identical to the sequential batch), the graph is frozen (concurrent
-    walkers require the immutable CSR arrays), and each worker domain
+    identical to the sequential batch), and each worker domain
     slices a contiguous chunk with its own {!Slicer.create_scratch}
     handle and its own per-domain telemetry registry.  After
     [Domain.join], every worker's {!Slice_obs.snapshot} is merged back
@@ -289,7 +275,9 @@ type handle = {
           a new version against *)
   h_container_classes : string list option;
   h_obj_sens : bool;
-  h_solver : [ `Bitset | `Reference ];
+  h_solver : [ `Bitset ];
+      (** always [`Bitset] and read by nothing; kept only because existing
+          record literals name the field *)
 }
 
 (** Analyze [(file, src)] units into a resident handle.  The load runs
@@ -298,7 +286,6 @@ type handle = {
 val load :
   ?container_classes:string list ->
   ?obj_sens:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
   (string * string) list ->
   handle
 
@@ -325,9 +312,9 @@ val load :
       patched solution — frontend and the unaffected bulk of the
       solve are both skipped;
     - [Resolved_fresh]: summary moved and the incremental re-solve was
-      unavailable (reference solver) or declined (affected cone too
-      large): fresh points-to solve and SDG over the mutated program
-      (the frontend work for unchanged methods is still skipped);
+      declined (affected cone too large): fresh points-to solve and SDG
+      over the mutated program (the frontend work for unchanged methods
+      is still skipped);
     - [Rebuilt]: structural edit, or fallback after any mid-incremental
       failure — full {!load} from the new sources under the handle's
       stored options.

@@ -99,10 +99,9 @@ type node = int
 
 (* The frozen (immutable) adjacency: compressed sparse rows.  For each
    direction, node [n]'s edges live at indices [off.(n) .. off.(n+1)-1]
-   of the flat [dst]/[kind] arrays; [kind] holds [edge_kind_tag]s.  Edge
-   order within a row matches the mutable list-array representation the
-   graph was built with, so the compatibility shims below reproduce the
-   exact pre-freeze adjacency lists. *)
+   of the flat [dst]/[kind] arrays; [kind] holds [edge_kind_tag]s.  A row
+   lists its edges newest first (reverse emission order), the order
+   witness paths and report ranks are pinned to. *)
 type csr = {
   deps_off : int array;        (* length num_nodes + 1 *)
   deps_dst : int array;        (* length num backward edges *)
@@ -124,6 +123,8 @@ type heap_index = {
   len_reads : (int, node list ref) Hashtbl.t;
 }
 
+module Edge_set = Hashtbl.Make (Int)
+
 type t = {
   p : Program.t;
   pta : Andersen.result;
@@ -132,12 +133,14 @@ type t = {
   mutable descs : node_desc array;
   mutable num_nodes : int;
   intern : (node_desc, node) Hashtbl.t;
-  mutable deps : (node * edge_kind) list array;   (* backward adjacency *)
-  mutable uses : (node * edge_kind) list array;   (* forward adjacency *)
-  edge_seen : (node * node * edge_kind, unit) Hashtbl.t;
-  mutable csr : csr option;    (* set by [freeze]; lists dropped then *)
+  (* Edges recorded by [build], in emission order, until [freeze]: two
+     ints per edge, [from] then [on lsl 3 lor kind tag]; [edge_seen]
+     holds the same packed triples as one int key each, for dedup. *)
+  mutable edge_buf : int array;
+  mutable edge_count : int;
+  edge_seen : unit Edge_set.t;
+  mutable csr : csr option;    (* set by [freeze]; edge buffer dropped then *)
   hx : heap_index;             (* retained for incremental patching *)
-  include_control : bool;
   (* Incremental patch state.  A patched graph keeps its CSR for
      untouched rows and OVERLAYS the rows the patch rewrote; row lookup
      checks the overlay first (one extra branch, only when [patched]).
@@ -180,9 +183,6 @@ let intern (g : t) (d : node_desc) : node =
         b
       in
       g.descs <- grow g.descs (Formal (-1, -1));
-      (* post-freeze the list arrays are [||]; only grow live state *)
-      if Array.length g.deps > 0 then g.deps <- grow g.deps [];
-      if Array.length g.uses > 0 then g.uses <- grow g.uses [];
       if Array.length g.ov_deps > 0 then begin
         g.ov_deps <- grow g.ov_deps None;
         g.ov_uses <- grow g.ov_uses None
@@ -197,66 +197,89 @@ let intern (g : t) (d : node_desc) : node =
 
 let find_node (g : t) (d : node_desc) : node option = Hashtbl.find_opt g.intern d
 
+(* Record the edge [from -> on] unless it is a self-loop or already
+   recorded.  Node ids stay below 2^29, so the triple packs into one int. *)
 let add_edge (g : t) ~(from : node) ~(on : node) (kind : edge_kind) : unit =
-  if from <> on && not (Hashtbl.mem g.edge_seen (from, on, kind)) then begin
+  let tagged = (on lsl 3) lor edge_kind_tag kind in
+  let key = (from lsl 32) lor tagged in
+  if from <> on && not (Edge_set.mem g.edge_seen key) then begin
     if is_frozen g then frozen_error "add_edge";
-    Hashtbl.replace g.edge_seen (from, on, kind) ();
+    Edge_set.replace g.edge_seen key ();
     Slice_obs.bump c_edges;
     Slice_obs.bump (edge_counter kind);
-    g.deps.(from) <- (on, kind) :: g.deps.(from);
-    g.uses.(on) <- (from, kind) :: g.uses.(on)
+    let i = 2 * g.edge_count in
+    if i = Array.length g.edge_buf then begin
+      let b = Array.make (2 * i) 0 in
+      Array.blit g.edge_buf 0 b 0 i;
+      g.edge_buf <- b
+    end;
+    g.edge_buf.(i) <- from;
+    g.edge_buf.(i + 1) <- tagged;
+    g.edge_count <- g.edge_count + 1
   end
 
 (* ------------------------------------------------------------------ *)
-(* Freeze: compact the list-array adjacency into CSR                   *)
+(* Freeze: fill the CSR from the edge buffer                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One direction of adjacency, compacted.  Rows keep list order. *)
-let compact_direction (n : int) (adj : (node * edge_kind) list array) :
+(* One direction of adjacency: [row e] and [other e] are edge [e]'s row
+   node and the node it points to.  Degrees are counted into [off] as
+   row ends; placing the edges in emission order, each one just below
+   its row's cursor, leaves every row newest first and [off] at the row
+   starts. *)
+let compact_direction (g : t) ~(row : int -> int) ~(other : int -> int) :
     int array * int array * int array =
+  let n = g.num_nodes and m = g.edge_count and buf = g.edge_buf in
   let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + List.length adj.(i)
+  for e = 0 to m - 1 do
+    let r = row e in
+    off.(r) <- off.(r) + 1
   done;
-  let m = off.(n) in
+  for i = 1 to n do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
   let dst = Array.make (max 1 m) 0 in
   let kind = Array.make (max 1 m) 0 in
-  for i = 0 to n - 1 do
-    let j = ref off.(i) in
-    List.iter
-      (fun (d, k) ->
-        dst.(!j) <- d;
-        kind.(!j) <- edge_kind_tag k;
-        incr j)
-      adj.(i)
+  for e = 0 to m - 1 do
+    let r = row e in
+    let j = off.(r) - 1 in
+    off.(r) <- j;
+    dst.(j) <- other e;
+    kind.(j) <- buf.((2 * e) + 1) land 7
   done;
   (off, dst, kind)
 
-(* Compact the mutable adjacency into the immutable CSR layout and drop
-   the list arrays + dedup table (the graph no longer accepts edges).
-   Idempotent; recorded under the "sdg.freeze" span. *)
+(* Compact the edge buffer into the immutable CSR layout and drop it and
+   the dedup table (the graph no longer accepts edges).  Idempotent;
+   recorded under the "sdg.freeze" span. *)
 let freeze (g : t) : unit =
   if not (is_frozen g) then
     Slice_obs.span "sdg.freeze" (fun () ->
-        let n = g.num_nodes in
-        let deps_off, deps_dst, deps_kind = compact_direction n g.deps in
-        let uses_off, uses_dst, uses_kind = compact_direction n g.uses in
+        let n = g.num_nodes and buf = g.edge_buf in
+        let from e = buf.(2 * e) and on e = buf.((2 * e) + 1) lsr 3 in
+        let deps_off, deps_dst, deps_kind =
+          compact_direction g ~row:from ~other:on
+        in
+        let uses_off, uses_dst, uses_kind =
+          compact_direction g ~row:on ~other:from
+        in
         g.csr <-
           Some { deps_off; deps_dst; deps_kind; uses_off; uses_dst; uses_kind };
-        (* release the allocation-heavy mutable representation *)
-        g.deps <- [||];
-        g.uses <- [||];
-        Hashtbl.reset g.edge_seen;
+        g.edge_buf <- [||];
+        g.edge_count <- 0;
+        Edge_set.reset g.edge_seen;
         Slice_obs.add c_csr_nodes n;
         Slice_obs.add c_csr_edges deps_off.(n);
         (* two offset arrays + two (dst, kind) pairs, 8 bytes per word *)
         Slice_obs.max_gauge g_csr_bytes
           (float_of_int (8 * (2 * (n + 1) + 2 * (deps_off.(n) + uses_off.(n))))))
 
-(* Iteration over the frozen view when available, over the lists before
-   [freeze].  These are the hot-path accessors: no allocation per edge.
-   On a patched graph, rows the patch rewrote (and rows of nodes interned
-   after the freeze) live in the overlay and are checked first. *)
+let unfrozen_error what =
+  invalid_arg (Printf.sprintf "Sdg.%s: graph is not frozen" what)
+
+(* The hot-path accessors: no allocation per edge.  On a patched graph,
+   rows the patch rewrote (and rows of nodes interned after the freeze)
+   live in the overlay and are checked first. *)
 let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
   match if g.patched then g.ov_deps.(n) else None with
   | Some (dst, kind) ->
@@ -266,7 +289,7 @@ let deps_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
     done
   | None -> (
     match g.csr with
-    | None -> List.iter (fun (d, k) -> f d k) g.deps.(n)
+    | None -> unfrozen_error "deps_iter"
     | Some c ->
       for i = c.deps_off.(n) to c.deps_off.(n + 1) - 1 do
         f (Array.unsafe_get c.deps_dst i)
@@ -282,7 +305,7 @@ let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
     done
   | None -> (
     match g.csr with
-    | None -> List.iter (fun (d, k) -> f d k) g.uses.(n)
+    | None -> unfrozen_error "uses_iter"
     | Some c ->
       for i = c.uses_off.(n) to c.uses_off.(n + 1) - 1 do
         f (Array.unsafe_get c.uses_dst i)
@@ -291,6 +314,7 @@ let uses_iter (g : t) (n : node) (f : node -> edge_kind -> unit) : unit =
 
 let num_edges (g : t) : int =
   match g.csr with
+  | None -> unfrozen_error "num_edges"
   | Some c when not g.patched -> c.deps_off.(g.num_nodes)
   | Some _ ->
     let total = ref 0 in
@@ -298,16 +322,9 @@ let num_edges (g : t) : int =
       deps_iter g n (fun _ _ -> incr total)
     done;
     !total
-  | None ->
-    let total = ref 0 in
-    for i = 0 to g.num_nodes - 1 do
-      total := !total + List.length g.deps.(i)
-    done;
-    !total
 
-(* Compatibility shims: materialise a row as a list.  Identical contents
-   and order before and after [freeze]; prefer the [_iter] forms in new
-   code (these allocate a fresh list per call on a frozen graph). *)
+(* A row as a list, in row order; prefer the [_iter] forms in new code
+   (these allocate a fresh list per call). *)
 let row_to_list off dst kind n =
   let rec go i acc =
     if i < off.(n) then acc
@@ -326,7 +343,7 @@ let deps (g : t) (n : node) : (node * edge_kind) list =
   | Some row -> ov_row_to_list row
   | None -> (
     match g.csr with
-    | None -> g.deps.(n)
+    | None -> unfrozen_error "deps"
     | Some c -> row_to_list c.deps_off c.deps_dst c.deps_kind n)
 
 let uses (g : t) (n : node) : (node * edge_kind) list =
@@ -334,7 +351,7 @@ let uses (g : t) (n : node) : (node * edge_kind) list =
   | Some row -> ov_row_to_list row
   | None -> (
     match g.csr with
-    | None -> g.uses.(n)
+    | None -> unfrozen_error "uses"
     | Some c -> row_to_list c.uses_off c.uses_dst c.uses_kind n)
 
 (* The source location of a node ([Loc.none] for formals). *)
@@ -696,14 +713,24 @@ let control_pass (g : t) ~(emit : from:node -> on:node -> edge_kind -> unit)
     done
   end
 
-(* Default shard count for the heap-wiring pass: parallel only when the
-   runtime reports real cores (a 1-core container stays sequential). *)
-let auto_heap_jobs () =
-  let r = Domain.recommended_domain_count () in
-  if r > 1 then min r 4 else 1
+(* Pass 3 dedup: the candidate heap pair (read [rn], write [wn]) lands
+   in a bitset row per write node, so a pair repeated across (object,
+   field) keys is emitted once. *)
+let consider_pair (rows : (node, Slice_util.Bits.t) Hashtbl.t) rn wn =
+  Slice_obs.bump c_heap_considered;
+  if rn <> wn then begin
+    let row =
+      match Hashtbl.find_opt rows wn with
+      | Some b -> b
+      | None ->
+        let b = Slice_util.Bits.create ~capacity:64 () in
+        Hashtbl.replace rows wn b;
+        b
+    in
+    ignore (Slice_util.Bits.add row rn)
+  end
 
-let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
-    (pta : Andersen.result) : t =
+let build ?arena (p : Program.t) (pta : Andersen.result) : t =
   let hx =
     { field_writes = Hashtbl.create 256;
       field_reads = Hashtbl.create 256;
@@ -719,12 +746,11 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       descs = Array.make 1024 (Formal (-1, -1));
       num_nodes = 0;
       intern = Hashtbl.create 1024;
-      deps = Array.make 1024 [];
-      uses = Array.make 1024 [];
-      edge_seen = Hashtbl.create 4096;
+      edge_buf = Array.make 8192 0;
+      edge_count = 0;
+      edge_seen = Edge_set.create 4096;
       csr = None;
       hx;
-      include_control;
       ov_deps = [||];
       ov_uses = [||];
       dead = [||];
@@ -734,9 +760,6 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
       patching = false }
   in
   let emit ~from ~on kind = add_edge g ~from ~on kind in
-  let heap_jobs =
-    match heap_jobs with Some j -> max 1 j | None -> auto_heap_jobs ()
-  in
   let mcs = Andersen.method_contexts pta in
   (* Pass 1: intraprocedural edges + heap access indexing — over the
      arena view when the caller lowered one (same edges, same order; the
@@ -770,118 +793,27 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
      exactly — the "considered vs emitted" ratio of the
      context-insensitive representation. *)
   Slice_obs.span "sdg.heap" (fun () ->
-  (* Matched (reads x writes) key groups flattened to plain node arrays:
-     the shardable work-list.  Sharding is by the |reads| x |writes|
-     candidate-pair cost; every shard dedups into its own bitset rows,
-     the parent merges rows by union after [Domain.join] (sets, so merge
-     order is irrelevant), and emission is sorted — ascending write
-     node, ascending read node — so the final adjacency is byte-for-byte
-     identical at every shard count, jobs 1 included. *)
-  let items : (node array * node array) list ref = ref [] in
-  let add_item rs ws =
-    if Array.length rs > 0 && Array.length ws > 0 then
-      items := (rs, ws) :: !items
-  in
+  let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
+  let consider = consider_pair rows in
+  let wire rs ws = List.iter (fun rn -> List.iter (fun wn -> consider rn wn) ws) rs in
   Hashtbl.iter
     (fun key rlist ->
       match Hashtbl.find_opt hx.field_writes key with
       | None -> ()
-      | Some wlist ->
-        add_item
-          (Array.of_list (List.map fst !rlist))
-          (Array.of_list (List.map fst !wlist)))
+      | Some wlist -> wire (List.map fst !rlist) (List.map fst !wlist))
     hx.field_reads;
   Hashtbl.iter
     (fun key rlist ->
       match Hashtbl.find_opt hx.static_writes key with
       | None -> ()
-      | Some wlist ->
-        add_item (Array.of_list !rlist) (Array.of_list !wlist))
+      | Some wlist -> wire !rlist !wlist)
     hx.static_reads;
   Hashtbl.iter
     (fun o rlist ->
       match Hashtbl.find_opt hx.len_writes o with
       | None -> ()
-      | Some wlist ->
-        add_item (Array.of_list !rlist) (Array.of_list !wlist))
+      | Some wlist -> wire !rlist !wlist)
     hx.len_reads;
-  let items = Array.of_list !items in
-  let cost (rs, ws) = Array.length rs * Array.length ws in
-  let total_cost = Array.fold_left (fun a it -> a + cost it) 0 items in
-  let consider_into rows rn wn =
-    Slice_obs.bump c_heap_considered;
-    if rn <> wn then begin
-      let row =
-        match Hashtbl.find_opt rows wn with
-        | Some b -> b
-        | None ->
-          let b = Slice_util.Bits.create ~capacity:64 () in
-          Hashtbl.replace rows wn b;
-          b
-      in
-      ignore (Slice_util.Bits.add row rn)
-    end
-  in
-  let run_items rows its =
-    List.iter
-      (fun (rs, ws) ->
-        Array.iter
-          (fun rn -> Array.iter (fun wn -> consider_into rows rn wn) ws)
-          rs)
-      its
-  in
-  let rows =
-    if heap_jobs > 1 && Array.length items > 1 && total_cost >= 4096 then begin
-      (* longest-processing-time greedy sharding *)
-      let order = Array.init (Array.length items) Fun.id in
-      Array.sort
-        (fun a b ->
-          match compare (cost items.(b)) (cost items.(a)) with
-          | 0 -> compare a b
-          | c -> c)
-        order;
-      let j = min heap_jobs (Array.length items) in
-      let bins = Array.make j [] and load = Array.make j 0 in
-      Array.iter
-        (fun ix ->
-          let best = ref 0 in
-          for k = 1 to j - 1 do
-            if load.(k) < load.(!best) then best := k
-          done;
-          bins.(!best) <- items.(ix) :: bins.(!best);
-          load.(!best) <- load.(!best) + cost items.(ix))
-        order;
-      let workers =
-        Array.map
-          (fun its ->
-            Domain.spawn (fun () ->
-                let rows : (node, Slice_util.Bits.t) Hashtbl.t =
-                  Hashtbl.create 256
-                in
-                run_items rows its;
-                (rows, Slice_obs.snapshot ())))
-          bins
-      in
-      let master : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
-      Array.iter
-        (fun w ->
-          let rows, snap = Domain.join w in
-          Slice_obs.merge_snapshot snap;
-          Hashtbl.iter
-            (fun wn row ->
-              match Hashtbl.find_opt master wn with
-              | Some dst -> ignore (Slice_util.Bits.union_into ~src:row ~dst)
-              | None -> Hashtbl.replace master wn row)
-            rows)
-        workers;
-      master
-    end
-    else begin
-      let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 256 in
-      run_items rows (Array.to_list items);
-      rows
-    end
-  in
   let wns = List.sort compare (Hashtbl.fold (fun wn _ a -> wn :: a) rows []) in
   List.iter
     (fun wn ->
@@ -892,7 +824,7 @@ let build ?(include_control = true) ?arena ?heap_jobs (p : Program.t)
         (Hashtbl.find rows wn))
     wns);
   (* Pass 4: control dependence edges. *)
-  if include_control then Slice_obs.span "sdg.control" (fun () -> begin
+  Slice_obs.span "sdg.control" (fun () -> begin
     (* reverse call graph: callee mctx -> caller call-site nodes *)
     let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -1143,20 +1075,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
   merge_pairs hx_new.len_writes g.hx.len_writes;
   merge_pairs hx_new.len_reads g.hx.len_reads;
   let rows : (node, Slice_util.Bits.t) Hashtbl.t = Hashtbl.create 64 in
-  let consider rn wn =
-    Slice_obs.bump c_heap_considered;
-    if rn <> wn then begin
-      let row =
-        match Hashtbl.find_opt rows wn with
-        | Some b -> b
-        | None ->
-          let b = Slice_util.Bits.create ~capacity:64 () in
-          Hashtbl.replace rows wn b;
-          b
-      in
-      ignore (Slice_util.Bits.add row rn)
-    end
-  in
+  let consider = consider_pair rows in
   let sweep_pairs news alls ~read_side =
     Hashtbl.iter
       (fun key nlist ->
@@ -1202,7 +1121,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
     rows;
   (* Pass 4: control dependence inside the new bodies.  Entry callers
      come from the solved call graph (already keyed on new ids). *)
-  if g.include_control then begin
+  begin
     let callers : (int, node list ref) Hashtbl.t = Hashtbl.create 16 in
     Andersen.iter_call_sites g.pta (fun ~caller ~stmt ~callees ->
         List.iter

@@ -59,43 +59,26 @@ type node = int
 type t
 
 (** Build the graph for every reachable method context.
-    [include_control:false] skips control-dependence edges (the thin
-    slicer never follows them; useful for memory-lean configurations).
 
     [arena] supplies the flat int-indexed IR view ({!Arena.build}); when
     present, pass 1 walks packed arena columns instead of the record IR
     — same edges in the same order, pinned by the equivalence tests —
     which is the memory/speed diet for 10^5-10^6-statement programs.
 
-    [heap_jobs] shards the pass-3 heap-wiring candidate pairs across
-    that many OCaml domains (default: up to 4 when
-    [Domain.recommended_domain_count () > 1], else sequential).  Every
-    shard dedups into its own bitset rows; rows are merged by set union
-    and emitted in sorted (write node, read node) order, so the
-    resulting adjacency is identical at every shard count.
+    The graph comes back with its distinct edges recorded in a flat
+    buffer; call {!freeze} before querying it. *)
+val build : ?arena:Arena.t -> Program.t -> Andersen.result -> t
 
-    The graph comes back mutable (list-array adjacency); call {!freeze}
-    to compact it before slicing heavily. *)
-val build :
-  ?include_control:bool ->
-  ?arena:Arena.t ->
-  ?heap_jobs:int ->
-  Program.t ->
-  Andersen.result ->
-  t
-
-(** Compact the mutable list-array adjacency into an immutable CSR
-    layout (flat [int] arrays [deps_off]/[deps_dst]/[deps_kind] plus the
-    forward mirror, edge kinds packed as tagged ints) and release the
-    mutable representation.  After freezing, {!deps_iter}/{!uses_iter}
-    run allocation-free over the flat arrays and the graph rejects
-    further [add_edge]/interning ([Invalid_argument]).  Idempotent;
-    recorded under the ["sdg.freeze"] telemetry span with
-    [sdg.csr_nodes]/[sdg.csr_edges] counters and an [sdg.csr_bytes]
-    footprint gauge. *)
+(** Count each node's degree and fill the immutable CSR layout (flat
+    [int] arrays [deps_off]/[deps_dst]/[deps_kind] plus the forward
+    mirror, edge kinds packed as tagged ints), then release the edge
+    buffer.  Every row lists its edges newest first.  After freezing,
+    {!deps_iter}/{!uses_iter} run allocation-free over the flat arrays
+    and the graph rejects further [add_edge]/interning
+    ([Invalid_argument]).  Idempotent; recorded under the
+    ["sdg.freeze"] telemetry span with [sdg.csr_nodes]/[sdg.csr_edges]
+    counters and an [sdg.csr_bytes] footprint gauge. *)
 val freeze : t -> unit
-
-val is_frozen : t -> bool
 
 (** Number of (backward) dependence edges in the graph. *)
 val num_edges : t -> int
@@ -108,21 +91,21 @@ val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
 val find_node : t -> node_desc -> node option
 
+(** The adjacency accessors below read the frozen graph and raise
+    [Invalid_argument] before {!freeze}. *)
+
 (** Backward adjacency iteration: the nodes [n] depends on.  The hot-path
-    accessor — allocation-free on a frozen graph; falls back to the
-    mutable lists before {!freeze}. *)
+    accessor — allocation-free. *)
 val deps_iter : t -> node -> (node -> edge_kind -> unit) -> unit
 
 (** Forward adjacency iteration: the nodes that depend on [n]. *)
 val uses_iter : t -> node -> (node -> edge_kind -> unit) -> unit
 
-(** Backward adjacency: the nodes [n] depends on.  Compatibility shim —
-    identical contents/order before and after {!freeze}, but allocates a
-    fresh list per call on a frozen graph; prefer {!deps_iter}. *)
+(** Backward adjacency as a list, in row order (allocates a fresh list
+    per call; prefer {!deps_iter}). *)
 val deps : t -> node -> (node * edge_kind) list
 
-(** Forward adjacency: the nodes that depend on [n] (shim; prefer
-    {!uses_iter}). *)
+(** Forward adjacency as a list (allocates; prefer {!uses_iter}). *)
 val uses : t -> node -> (node * edge_kind) list
 
 (** Source location of a node ([Loc.none] for formals). *)

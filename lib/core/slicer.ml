@@ -11,12 +11,12 @@
      compares against;
    - [Traditional_full]: also follows control dependences.
 
-   The walk itself runs on the frozen CSR view of the graph (or the list
-   adjacency before [Sdg.freeze]) with flat scratch buffers: a byte array
-   of per-node best budgets doubling as the visited set, an entry-unique
-   int ring deque, and a touched-node log so both the result emission and
-   the buffer reset cost O(slice), not O(graph) — no Hashtbl, no Queue,
-   no per-row list allocation on the hot path.  The seed implementation
+   The walk itself runs on the frozen CSR view of the graph with flat
+   scratch buffers: a byte array of per-node best budgets doubling as
+   the visited set, an entry-unique int ring deque, and a touched-node
+   log so both the result emission and the buffer reset cost O(slice),
+   not O(graph) — no Hashtbl, no Queue, no per-row list allocation on
+   the hot path.  The seed implementation
    (Hashtbl + Queue + sort over adjacency lists) is kept verbatim in
    [Reference] for parity tests and A/B benchmarks. *)
 
@@ -642,9 +642,8 @@ let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
 
 (* The pre-CSR walk, verbatim: Hashtbl visited/budget table, stdlib
    Queue with stale-entry re-enqueues, and a polymorphic-compare sort of
-   the result.  Runs over the adjacency-list shims, so it behaves
-   identically on frozen and unfrozen graphs (though it allocates rows
-   on a frozen one).  It bumps no telemetry: it exists to pin down the
+   the result.  Runs over rows materialised as lists ([Sdg.deps] /
+   [Sdg.uses]).  It bumps no telemetry: it exists to pin down the
    CSR walk's semantics (parity property tests) and as the A side of the
    BENCH A/B. *)
 module Reference = struct

@@ -312,7 +312,11 @@ let battery ?(fault = No_fault) ~(src : string) ~(seed_lines : int list) () :
         [ Slicer.Thin; Slicer.Traditional_full ];
     (* ---------------- solver parity ---------------- *)
     let a_ref =
-      Engine.analyze ~solver:`Reference (Frontend.load_exn ~file src)
+      let p = Frontend.load_exn ~file src in
+      Engine.analyze_with_pta ~obj_sens:true
+        (Andersen.of_reference
+           (Andersen.Reference.analyze ~opts:Andersen.default_opts p))
+        p
     in
     if
       dump_to_string (Andersen.pts_dump a.Engine.pta)

@@ -26,10 +26,10 @@ module Bits = Slice_util.Bits
 
 module ObjSet = Set.Make (Int)
 
-type opts = {
-  obj_sens_containers : bool;
-  max_ctx_depth : int;
-}
+type opts = { obj_sens_containers : bool }
+
+(* Cap on nested receiver contexts (containers inside containers). *)
+let receiver_ctx_cap = 3
 
 (* Telemetry: plain int-ref bumps (see Slice_obs); interned once here.
    Only the main solver bumps these — [Reference] is telemetry-free. *)
@@ -42,9 +42,9 @@ let c_pts_objs = Slice_obs.counter "pta.pts_objects_propagated"
 let c_cycles_collapsed = Slice_obs.counter "pta.cycles_collapsed"
 let c_lcd_runs = Slice_obs.counter "pta.lcd_runs"
 
-let default_opts = { obj_sens_containers = true; max_ctx_depth = 3 }
+let default_opts = { obj_sens_containers = true }
 
-let no_obj_sens_opts = { obj_sens_containers = false; max_ctx_depth = 3 }
+let no_obj_sens_opts = { obj_sens_containers = false }
 
 (* The array-contents pseudo-field. *)
 let elem_field = "$elem"
@@ -318,7 +318,7 @@ module Reference = struct
       match Context.dispatch_class oi.Context.oi_cls with
       | Some c when is_container_class t c ->
         let cand = Context.Crecv recv_obj in
-        if Context.ctx_depth t.ctxs cand > t.opts.max_ctx_depth then
+        if Context.ctx_depth t.ctxs cand > receiver_ctx_cap then
           Context.Cnone
         else cand
       | Some _ | None -> Context.Cnone
@@ -729,22 +729,6 @@ let rec find (t : t) (n : int) : int =
     r
   end
 
-(* Read-only find: no path compression, safe to call from several
-   domains at once AFTER the solve is done.  Same representative as
-   [find] — it just walks instead of rewriting. *)
-let rec find_ro (t : t) (n : int) : int =
-  let p = t.parent.(n) in
-  if p = n then n else find_ro t p
-
-(* Compress every union-find path once, so a subsequent concurrent read
-   phase ([find_ro] via [pts_iter_var]) is all O(1) parent hits with no
-   writes in flight.  Callers that fan a finished [result] out to worker
-   domains (parallel mod-ref, sharded SDG wiring) run this first. *)
-let prepare_concurrent_reads (t : t) : unit =
-  for n = 0 to t.num_nodes - 1 do
-    ignore (find t n)
-  done
-
 (* --- interning ----------------------------------------------------- *)
 
 let intern_mctx (t : t) (mq : Instr.method_qname) (c : Context.ctx) : int =
@@ -1068,7 +1052,7 @@ let callee_ctx (t : t) ~(recv_obj : int) : Context.ctx =
     match Context.dispatch_class oi.Context.oi_cls with
     | Some c when is_container_class t c ->
       let cand = Context.Crecv recv_obj in
-      if Context.ctx_depth t.ctxs cand > t.opts.max_ctx_depth then Context.Cnone
+      if Context.ctx_depth t.ctxs cand > receiver_ctx_cap then Context.Cnone
       else cand
     | Some _ | None -> Context.Cnone
   end
@@ -1605,13 +1589,11 @@ let pts_of_var (t : result) ~(mctx : int) (v : Instr.var) : ObjSet.t =
   pts_of_node t (Nvar (mctx, v))
 
 (* Allocation-free variant for the SDG's heap-indexing pass and the
-   mod-ref direct pass.  Uses the read-only find so worker domains can
-   query a finished result concurrently (after
-   [prepare_concurrent_reads] the walk is O(1) anyway). *)
+   mod-ref direct pass. *)
 let pts_iter_var (t : result) ~(mctx : int) (v : Instr.var) (f : int -> unit) :
     unit =
   match Hashtbl.find_opt t.node_intern (Nvar (mctx, v)) with
-  | Some id -> Bits.iter f t.pts.(find_ro t id)
+  | Some id -> Bits.iter f t.pts.(find t id)
   | None -> ()
 
 (* Context-insensitive projection: union over all contexts of the method. *)

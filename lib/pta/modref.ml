@@ -30,11 +30,7 @@ let mod_of (t : t) (mc : int) : LocSet.t =
 let ref_of (t : t) (mc : int) : LocSet.t =
   Option.value ~default:LocSet.empty (Hashtbl.find_opt t.refs mc)
 
-(* Direct mod/ref sets of one method context: the per-statement pass
-   each shard of the parallel direct phase runs.  Reads the program and
-   the finished points-to result only through race-free paths
-   ([Hashtbl] lookups, [pts_iter_var] on a prepared result), so worker
-   domains can run it concurrently. *)
+(* Direct mod/ref sets of one method context. *)
 let direct_sets (p : Program.t) (r : Andersen.result) (mc : int)
     (mq : Instr.method_qname) : LocSet.t * LocSet.t =
   let m = Program.find_method_exn p mq in
@@ -67,50 +63,16 @@ let direct_sets (p : Program.t) (r : Andersen.result) (mc : int)
         | Instr.Phi _ | Instr.Nop -> ());
   (!dm, !dr)
 
-let auto_jobs () =
-  let r = Domain.recommended_domain_count () in
-  if r > 1 then min r 4 else 1
-
-let compute ?jobs (p : Program.t) (r : Andersen.result) : t =
-  let jobs = match jobs with Some j -> max 1 j | None -> auto_jobs () in
+let compute (p : Program.t) (r : Andersen.result) : t =
   let direct_mods = Hashtbl.create 64 in
   let direct_refs = Hashtbl.create 64 in
   let mcs = Andersen.method_contexts r in
-  let mcs_arr = Array.of_list mcs in
-  let n = Array.length mcs_arr in
-  (* Direct pass, sharded by contiguous context ranges.  Each worker
-     fills its slice of one result array — no shared mutable state —
-     and the parent stores the slices back in context order, so the
-     tables are identical at every job count. *)
-  let direct = Array.make n (LocSet.empty, LocSet.empty) in
-  let run_range lo hi =
-    for k = lo to hi - 1 do
-      let mc, mq, _ = mcs_arr.(k) in
-      direct.(k) <- direct_sets p r mc mq
-    done
-  in
-  if jobs > 1 && n >= 2 * jobs then begin
-    Andersen.prepare_concurrent_reads r;
-    let shards = min jobs n in
-    let chunk = (n + shards - 1) / shards in
-    let workers =
-      Array.init shards (fun s ->
-          let lo = s * chunk and hi = min n ((s + 1) * chunk) in
-          Domain.spawn (fun () ->
-              run_range lo hi;
-              Slice_obs.snapshot ()))
-    in
-    Array.iter
-      (fun w -> Slice_obs.merge_snapshot (Domain.join w))
-      workers
-  end
-  else run_range 0 n;
-  Array.iteri
-    (fun k (dm, dr) ->
-      let mc, _, _ = mcs_arr.(k) in
+  List.iter
+    (fun (mc, mq, _) ->
+      let dm, dr = direct_sets p r mc mq in
       Hashtbl.replace direct_mods mc dm;
       Hashtbl.replace direct_refs mc dr)
-    direct;
+    mcs;
   (* Transitive closure over the call graph, to fixpoint. *)
   let t = { mods = Hashtbl.copy direct_mods; refs = Hashtbl.copy direct_refs } in
   let changed = ref true in

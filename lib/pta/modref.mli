@@ -18,14 +18,8 @@ module LocSet : Set.S with type elt = loc
 type t
 
 (** Direct sets per method context, then transitive closure over the call
-    graph to a fixpoint.  [jobs] shards the direct pass across that many
-    OCaml domains (default: up to 4 when
-    [Domain.recommended_domain_count () > 1], else sequential); shards
-    fill disjoint slices of one per-context result array, so the tables
-    — and everything downstream — are identical at every job count.
-    The closure phase stays sequential (it is a small fraction of the
-    wall). *)
-val compute : ?jobs:int -> Program.t -> Andersen.result -> t
+    graph to a fixpoint. *)
+val compute : Program.t -> Andersen.result -> t
 
 val mod_of : t -> int -> LocSet.t
 val ref_of : t -> int -> LocSet.t

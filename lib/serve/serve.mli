@@ -2,8 +2,8 @@
 
     A long-lived daemon answering line-delimited JSON requests
     ([thinslice.serve/v1]) over stdin/stdout or a Unix socket.  Loaded
-    programs are cached in an LRU keyed by source digest x (sensitivity,
-    solver); each resident entry holds a frozen CSR SDG + solved
+    programs are cached in an LRU keyed by source digest x sensitivity;
+    each resident entry holds a frozen CSR SDG + solved
     points-to ({!Engine.handle}), so repeat queries skip the whole
     analysis pipeline.  Every query dispatches through
     {!Engine.run_query} — the same code path as the one-shot CLI — and
@@ -20,11 +20,12 @@
     returned from an earlier load; a structured error when no longer
     resident) or inline by ["source"] (+ optional ["file"]) or by a
     multi-file ["sources"] array of [{"file": F, "source": S}] objects
-    (+ optional ["obj_sens"], ["solver"]), which loads on miss and
+    (+ optional ["obj_sens"]), which loads on miss and
     reuses the resident analysis on hit.  Duplicate paths in
     ["sources"] are a code-1 error.  Query params: ["line"], ["mode"]
     (any {!Slice_core.Slicer.mode_of_string} spelling, default thin),
-    ["to"] (chop), ["seed"] (explain).
+    ["to"] (chop), ["seed"] (explain).  A ["solver"] param other than
+    ["bitset"], the one points-to solver, is a [-32602] error.
 
     [update] takes a resident ["program"] key plus the edited
     ["source"]/["sources"] and re-analyzes incrementally
@@ -87,23 +88,15 @@ type state
 
 val create_state : config -> state
 
-(** The cache key of a program: MD5 digest over every (file, source)
-    pair x object-sensitivity x solver.  This is what a load result
-    returns as ["program"] and what query requests may pass back.  A
-    singleton list yields the same key as {!program_key}. *)
-val program_key_sources :
-  ?obj_sens:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
-  (string * string) list ->
-  string
+(** The cache key of a program:
+    ["<md5>:objsens:bitset"] (or [no-objsens]), the MD5 digest taken over
+    every (file, source) pair.  This is what a load result returns as
+    ["program"] and what query requests may pass back.  A singleton list
+    yields the same key as {!program_key}. *)
+val program_key_sources : ?obj_sens:bool -> (string * string) list -> string
 
 (** Single-file convenience form of {!program_key_sources}. *)
-val program_key :
-  ?obj_sens:bool ->
-  ?solver:[ `Bitset | `Reference ] ->
-  file:string ->
-  string ->
-  string
+val program_key : ?obj_sens:bool -> file:string -> string -> string
 
 (** Resident program keys, most recently used first (exposed for the
     eviction tests and the bench). *)

@@ -38,6 +38,15 @@ let run_fail ?(args = []) ?(streams = []) src : Slice_interp.Interp.failure =
 
 let analysis ?obj_sens src = Slice_core.Engine.analyze ?obj_sens (load src)
 
+(* The pipeline over the reference points-to solver: the oracle the
+   product's bitset solver is checked against. *)
+let reference_analysis ?(obj_sens = true) (p : Slice_ir.Program.t) =
+  let module A = Slice_pta.Andersen in
+  let opts = if obj_sens then A.default_opts else A.no_obj_sens_opts in
+  Slice_core.Engine.analyze_with_pta ~obj_sens
+    (A.of_reference (A.Reference.analyze ~opts p))
+    p
+
 (* A main wrapper for single-expression programs. *)
 let expr_main body = Printf.sprintf "void main(String[] args) {\n%s\n}\n" body
 

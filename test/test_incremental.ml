@@ -248,20 +248,6 @@ let test_update_resolved () =
   Alcotest.(check int) "one body relowered" 1 rep.Engine.up_relowered;
   check_equiv ~what:"resolved" h' [ (file, edited) ] (seed_lines_of edited)
 
-(* The same summary-moving edit on a reference-solver handle has no
-   provenance to retract — it must fall to a fresh re-solve. *)
-let test_update_resolved_fresh_reference () =
-  let h = Engine.load ~solver:`Reference [ (file, base_src) ] in
-  let edited =
-    replace base_src "void set(int v) { this.f = v + 0; }"
-      "void set(int v) { A t = new A(); this.f = v; }"
-  in
-  let h', rep = Engine.update h [ (file, edited) ] in
-  Alcotest.check path_testable "resolved-fresh path" Engine.Resolved_fresh
-    rep.Engine.up_path;
-  check_equiv ~what:"resolved-fresh" h' [ (file, edited) ]
-    (seed_lines_of edited)
-
 let test_update_rebuilt () =
   let h = Engine.load [ (file, base_src) ] in
   (* A field addition changes the class shell: no incremental tier
@@ -470,8 +456,6 @@ let suite =
     Alcotest.test_case "update patched chain" `Quick test_update_patched_chain;
     Alcotest.test_case "update patched entry" `Quick test_update_patched_entry;
     Alcotest.test_case "update resolved" `Quick test_update_resolved;
-    Alcotest.test_case "update resolved-fresh (reference)" `Quick
-      test_update_resolved_fresh_reference;
     Alcotest.test_case "update rebuilt" `Quick test_update_rebuilt;
     Alcotest.test_case "update multifile" `Quick test_update_multifile;
     Alcotest.test_case "invalid body edit" `Quick test_update_invalid_body;

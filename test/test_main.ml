@@ -18,6 +18,7 @@ let () =
       ("dynamic", Test_dynamic.suite);
       ("tasks", Test_tasks.suite);
       ("obs", Test_obs.suite);
+      ("solver-oracle", Test_obs.solver_oracle_suite);
       ("properties", Test_props.suite);
       ("fuzz", Test_fuzz.suite);
       ("incremental", Test_incremental.suite);

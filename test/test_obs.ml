@@ -1,5 +1,7 @@
 (* Telemetry-layer tests: span nesting, counter monotonicity, JSON
-   round-trips, and the thinslice --stats-json CLI contract. *)
+   round-trips, the thinslice --stats-json CLI contract, and the
+   reference points-to solver as a byte-identity oracle for query
+   output. *)
 
 open Slice_obs
 
@@ -592,56 +594,118 @@ let test_cli_jobs_byte_identity () =
     check_string "--jobs 4 output byte-identical to --jobs 1" t1 t4
   end
 
-(* --- thinslice batch --pta byte-identity ---------------------------- *)
+(* --- solver oracle: reference pipeline byte-identity ----------------- *)
 
-(* The CLI contract of the solver A/B: `thinslice batch --pta reference`
-   must print BYTE-identical output to `--pta bitset` — the solver swap
-   is invisible to the user. *)
-let test_cli_pta_byte_identity () =
-  if not (Sys.file_exists exe_path) then Alcotest.skip ()
-  else begin
-    let src = Slice_workloads.Prog_nanoxml.base in
-    let a = Slice_core.Engine.of_source ~file:"nanoxml.tj" src in
-    let n_lines = List.length (String.split_on_char '\n' src) in
-    let lines = ref [] in
-    for l = n_lines downto 1 do
-      if l mod 20 = 0 && Slice_core.Engine.seeds_at_line a l <> [] then
-        lines := l :: !lines
-    done;
-    check_bool "found several seed lines" true (List.length !lines >= 3);
-    let src_file = Filename.temp_file "obs_pta" ".tj" in
-    let oc = open_out src_file in
-    output_string oc src;
-    close_out oc;
-    let run solver out =
-      let cmd =
-        Printf.sprintf
-          "%s batch %s %s --mode thin --pta %s --quiet > %s 2>&1"
-          (Filename.quote exe_path) (Filename.quote src_file)
-          (String.concat " "
-             (List.map (fun l -> Printf.sprintf "--line %d" l) !lines))
-          solver (Filename.quote out)
+(* The product has one points-to solver.  [Andersen.Reference] stays as
+   its oracle: the pipeline built over the reference result must answer
+   batch slices, [explain] and [report --json] byte-identically to the
+   product pipeline, on the demo programs of the CI smoke steps and on
+   every paper workload.  Both sides go through [Engine.run_query] and
+   [query_result_to_json], the path the CLI and serve print from.  On
+   the paper workloads the two solvers number contexts and abstract
+   objects differently, so SDG node ids and the context part of node
+   labels differ; there each witness step is compared without its
+   ["node"] and ["label"] members, as its file, line, arrival kind,
+   budget and distance. *)
+let demo_programs =
+  [ ( "par_demo.tj",
+      "void main(String[] args) {\n\
+      \  int x = 1 + 2;\n\
+      \  int y = x * 3;\n\
+      \  print(itoa(y));\n\
+       }\n" );
+    ( "explain_demo.tj",
+      "class Box {\n\
+      \  String val;\n\
+      \  Box() { this.val = \"\"; }\n\
+      \  void set(String v) { this.val = v; }\n\
+      \  String get() { return this.val; }\n\
+       }\n\
+       void main(String[] args) {\n\
+      \  Box b = new Box();\n\
+      \  String x = \"hello\";\n\
+      \  String y = x + \"!\";\n\
+      \  b.set(y);\n\
+      \  String z = b.get();\n\
+      \  if (z.length() > 0) {\n\
+      \    print(z);\n\
+      \  }\n\
+       }\n" ) ]
+
+let rec drop_node_names (j : Json.t) : Json.t =
+  match j with
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if k = "node" || k = "label" then None else Some (k, drop_node_names v))
+         kvs)
+  | Json.List vs -> Json.List (List.map drop_node_names vs)
+  | j -> j
+
+let test_solver_oracle_byte_identity () =
+  let module E = Slice_core.Engine in
+  let module Slicer = Slice_core.Slicer in
+  let handle file src a =
+    { E.h_analysis = a; h_stats = E.stats_of a; h_sources = [ (file, src) ];
+      h_container_classes = None; h_obj_sens = true; h_solver = `Bitset }
+  in
+  let answer ~demo h q =
+    match E.run_query h q with
+    | r ->
+      let j = E.query_result_to_json h q r in
+      Json.to_string (if demo then j else drop_node_names j)
+    | exception E.No_seed l -> Printf.sprintf "no seed at line %d" l
+  in
+  List.iter
+    (fun (demo, (file, src)) ->
+      let bit = handle file src (E.of_source ~file src) in
+      let refr =
+        handle file src
+          (Helpers.reference_analysis (Slice_front.Frontend.load_exn ~file src))
       in
-      check_int (Printf.sprintf "batch --pta %s exits 0" solver) 0
-        (Sys.command cmd)
-    in
-    let read path =
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    in
-    let out_bit = Filename.temp_file "obs_pta_bit" ".out" in
-    let out_ref = Filename.temp_file "obs_pta_ref" ".out" in
-    run "bitset" out_bit;
-    run "reference" out_ref;
-    let tb = read out_bit and tr = read out_ref in
-    Sys.remove src_file;
-    Sys.remove out_bit;
-    Sys.remove out_ref;
-    check_bool "non-empty output" true (String.length tb > 0);
-    check_string "--pta reference output byte-identical to bitset" tb tr
-  end
+      (* up to 6 statement lines spread over the program *)
+      let lines =
+        let a = bit.E.h_analysis in
+        let all =
+          List.filter
+            (fun l -> E.seeds_at_line a l <> [])
+            (List.init (List.length (String.split_on_char '\n' src)) succ)
+        in
+        let k = List.length all in
+        List.sort_uniq compare
+          (List.init (min k 6) (fun i -> List.nth all (i * k / min k 6)))
+      in
+      check_bool (file ^ ": has seed lines") true (lines <> []);
+      let modes = [ Slicer.Thin; Slicer.Traditional_data; Slicer.Traditional_full ] in
+      List.iter
+        (fun mode ->
+          let batch a = E.slice_batch a ~lines mode in
+          check_bool
+            (Printf.sprintf "%s batch %s" file (Slicer.mode_to_string mode))
+            true
+            (batch bit.E.h_analysis = batch refr.E.h_analysis);
+          List.iter
+            (fun line ->
+              let same what q =
+                check_string
+                  (Printf.sprintf "%s %s line %d %s" file what line
+                     (Slicer.mode_to_string mode))
+                  (answer ~demo bit q) (answer ~demo refr q)
+              in
+              same "report" (E.Q_report { line; mode });
+              List.iter
+                (fun target ->
+                  same
+                    (Printf.sprintf "explain %d" target)
+                    (E.Q_explain { seed_line = line; line = target; mode }))
+                lines)
+            lines)
+        modes)
+    (List.map (fun p -> (true, p)) demo_programs
+    @ List.map
+        (fun (name, src) -> (false, (name ^ ".tj", src)))
+        Slice_workloads.Suites.paper_workloads)
 
 let suite =
   [ Alcotest.test_case "span nesting" `Quick test_span_nesting;
@@ -673,5 +737,8 @@ let suite =
       test_cli_stats_json;
     Alcotest.test_case "thinslice batch --jobs byte-identity" `Quick
       test_cli_jobs_byte_identity;
-    Alcotest.test_case "thinslice batch --pta byte-identity" `Quick
-      test_cli_pta_byte_identity ]
+ ]
+
+let solver_oracle_suite =
+  [ Alcotest.test_case "batch, explain, report byte-identity" `Quick
+      test_solver_oracle_byte_identity ]

@@ -262,8 +262,10 @@ let test_solver_slice_parity () =
   List.iter
     (fun (name, src) ->
       let file = name ^ ".tj" in
-      let a_bit = E.of_source ~solver:`Bitset ~file src in
-      let a_ref = E.of_source ~solver:`Reference ~file src in
+      let a_bit = E.of_source ~file src in
+      let a_ref =
+        Helpers.reference_analysis (Slice_front.Frontend.load_exn ~file src)
+      in
       (* first / middle / last source lines that carry statements *)
       let lines =
         let g = a_bit.E.sdg in

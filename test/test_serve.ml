@@ -1,8 +1,8 @@
 (* Serve daemon tests: the JSON-RPC error contract (no request kills
    the loop), LRU cache behaviour (hit/miss, eviction, reload),
    long-lived-process hygiene (span rotation, scratch shrink on
-   eviction), and serve-vs-CLI byte parity across both pointer-analysis
-   solvers via a scripted subprocess. *)
+   eviction), the solver param and key format, and serve-vs-CLI byte
+   parity via a scripted subprocess. *)
 
 open Slice_core
 module Serve = Slice_serve.Serve
@@ -327,7 +327,9 @@ let serve_responses (reqs : Json.t list) : Json.t list =
          | Ok j -> j
          | Error e -> Alcotest.failf "unparsable serve response %S: %s" l e)
 
-let parity_for_solver (solver : string) () =
+(* The serve request names the one solver explicitly; the CLI has no
+   solver option. *)
+let test_cli_parity () =
   skip_if_missing ();
   let dir = Filename.temp_file "serve_parity" "" in
   Sys.remove dir;
@@ -342,46 +344,44 @@ let parity_for_solver (solver : string) () =
       (* serve identifies the unit by basename, exactly as the CLI does *)
       let base =
         [ ("source", Json.Str box_src); ("file", Json.Str "box.tj");
-          ("solver", Json.Str solver) ]
+          ("solver", Json.Str "bitset") ]
       in
       let qp = Filename.quote path in
       let cases =
         [ ( "slice",
             req "slice" (("line", Json.Int box_print_line) :: base),
-            Printf.sprintf "slice %s -l %d --json --pta %s" qp box_print_line
-              solver );
+            Printf.sprintf "slice %s -l %d --json" qp box_print_line );
           ( "forward",
             req "forward"
               (("line", Json.Int box_def_line)
                :: ("mode", Json.Str "trad") :: base),
-            Printf.sprintf "slice %s -l %d --forward --mode trad --json --pta %s"
-              qp box_def_line solver );
+            Printf.sprintf "slice %s -l %d --forward --mode trad --json" qp
+              box_def_line );
           ( "chop",
             req "chop"
               (("line", Json.Int box_def_line)
                :: ("to", Json.Int box_print_line) :: base),
-            Printf.sprintf "chop %s -l %d --to %d --json --pta %s" qp
-              box_def_line box_print_line solver );
+            Printf.sprintf "chop %s -l %d --to %d --json" qp box_def_line
+              box_print_line );
           ( "expand",
             req "expand" (("line", Json.Int box_print_line) :: base),
-            Printf.sprintf "expand %s -l %d --json --pta %s" qp box_print_line
-              solver );
+            Printf.sprintf "expand %s -l %d --json" qp box_print_line );
           ( "explain",
             req "explain"
               (("line", Json.Int box_def_line)
                :: ("seed", Json.Int box_print_line)
                :: ("mode", Json.Str "full") :: base),
-            Printf.sprintf "explain %s %d --seed %d --mode full --json --pta %s"
-              qp box_def_line box_print_line solver );
+            Printf.sprintf "explain %s %d --seed %d --mode full --json" qp
+              box_def_line box_print_line );
           ( "report",
             req "report"
               (("line", Json.Int box_print_line)
                :: ("mode", Json.Str "full") :: base),
-            Printf.sprintf "report %s -l %d --mode full --json --pta %s" qp
-              box_print_line solver );
+            Printf.sprintf "report %s -l %d --mode full --json" qp
+              box_print_line );
           ( "stats",
             req "stats" base,
-            Printf.sprintf "stats %s --json --pta %s" qp solver ) ]
+            Printf.sprintf "stats %s --json" qp ) ]
       in
       let resps = serve_responses (List.map (fun (_, r, _) -> r) cases) in
       check_int "one response per request" (List.length cases)
@@ -391,8 +391,7 @@ let parity_for_solver (solver : string) () =
           let serve_result = result_str resp in
           let cli_out = cli_json cli_args in
           check_string
-            (Printf.sprintf "%s (--pta %s): serve result byte-equals CLI --json"
-               name solver)
+            (Printf.sprintf "%s: serve result byte-equals CLI --json" name)
             cli_out serve_result)
         cases resps;
       (* every response after the first reuses the resident analysis *)
@@ -403,6 +402,38 @@ let parity_for_solver (solver : string) () =
             (if i = 0 then "miss" else "hit")
             (cache_of resp))
         resps)
+
+(* --- the solver param ------------------------------------------------ *)
+
+(* The points-to solver is not selectable: a [solver] param other than
+   "bitset" is an invalid-params error that loads nothing, and program
+   keys keep the "<md5>:<sensitivity>:bitset" strings earlier versions
+   handed out. *)
+let test_solver_param_and_key () =
+  let st = Serve.create_state Serve.default_config in
+  let base = [ ("source", Json.Str box_src); ("file", Json.Str "box.tj") ] in
+  List.iter
+    (fun solver ->
+      expect_error ("solver " ^ solver) st
+        (req "load" (("solver", Json.Str solver) :: base))
+        Serve.invalid_params)
+    [ "reference"; "ref"; "" ];
+  check_int "rejected loads leave nothing resident" 0
+    (List.length (Serve.cache_keys st));
+  let key = "66c530e2ff46a25b3d67390d751356ae:objsens:bitset" in
+  check_string "program key" key (Serve.program_key ~file:"box.tj" box_src);
+  check_string "no-objsens program key"
+    "66c530e2ff46a25b3d67390d751356ae:no-objsens:bitset"
+    (Serve.program_key ~obj_sens:false ~file:"box.tj" box_src);
+  let resp = do_req st (req "load" (("solver", Json.Str "bitset") :: base)) in
+  (match Json.member "program" (member_exn "result" resp) with
+  | Some (Json.Str k) -> check_string "load returns the key" key k
+  | _ -> Alcotest.failf "load result has no key: %s" (Json.to_string resp));
+  expect_error "old reference key" st
+    (req "slice"
+       [ ("program", Json.Str "66c530e2ff46a25b3d67390d751356ae:objsens:reference");
+         ("line", Json.Int box_print_line) ])
+    Serve.user_error
 
 (* --- incremental update --------------------------------------------- *)
 
@@ -699,6 +730,6 @@ let suite =
     Alcotest.test_case "client disconnect does not kill the daemon" `Quick
       test_socket_disconnect;
     Alcotest.test_case "serve/CLI byte parity (bitset pta)" `Quick
-      (parity_for_solver "bitset");
-    Alcotest.test_case "serve/CLI byte parity (reference pta)" `Quick
-      (parity_for_solver "reference") ]
+      test_cli_parity;
+    Alcotest.test_case "solver param rejected, key format kept" `Quick
+      test_solver_param_and_key ]
