@@ -661,7 +661,7 @@ let bench_pta_ab () : Slice_obs.Json.t list =
       in
       let slice_lines g line mode =
         Slicer.slice_line_numbers g
-          ~seeds:(Sdg.nodes_at_line g ~file:None ~line)
+          ~seeds:(Sdg.nodes_at_line g ~line)
           mode
       in
       let parity_slices =

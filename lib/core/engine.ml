@@ -95,7 +95,7 @@ let matches_filter (a : analysis) (f : seed_filter) (n : Sdg.node) : bool =
 
 let seeds_at_line ?(filter = Any) (a : analysis) (line : int) : Sdg.node list =
   List.filter (matches_filter a filter)
-    (Sdg.nodes_at_line a.sdg ~file:None ~line)
+    (Sdg.nodes_at_line a.sdg ~line)
 
 exception No_seed of int
 
@@ -222,8 +222,15 @@ let in_worker_domain (f : unit -> 'a) : 'a =
   Slice_obs.merge_snapshot snap;
   match out with Ok v -> v | Error e -> raise e
 
+(* The provenance a query records into: the calling domain's reusable
+   one when every walk stays on this domain, a fresh one when a worker
+   domain walks ([jobs > 1]). *)
+let with_provenance ~jobs (a : analysis) (f : Slicer.provenance -> 'a) : 'a =
+  if jobs <= 1 then Slicer.with_domain_provenance a.sdg f
+  else f (Slicer.create_provenance a.sdg)
+
 (* Witness: the dependence path by which the [mode] slice seeded at
-   [seed_line] reaches [line].  Walks with a fresh provenance, then
+   [seed_line] reaches [line].  Walks with a recording provenance, then
    explains the target-line node with the smallest (distance, node id) —
    the hop-shortest recorded path, deterministically tie-broken.  [None]
    when the line has nodes but none is a member; [No_seed] (of the
@@ -231,25 +238,25 @@ let in_worker_domain (f : unit -> 'a) : 'a =
 let witness_from_line ?filter ?(jobs = 1) (a : analysis) ~(seed_line : int)
     ~(line : int) (mode : Slicer.mode) : Slicer.witness_step list option =
   let seeds = seeds_at_line_exn ?filter a seed_line in
-  let targets = Sdg.nodes_at_line a.sdg ~file:None ~line in
+  let targets = Sdg.nodes_at_line a.sdg ~line in
   if targets = [] then raise (No_seed line);
-  let prov = Slicer.create_provenance a.sdg in
-  let walk () = ignore (Slicer.slice ~prov a.sdg ~seeds mode) in
-  if jobs <= 1 then walk () else in_worker_domain walk;
-  let best =
-    List.fold_left
-      (fun acc n ->
-        match Slicer.distance prov n with
-        | None -> acc
-        | Some d -> (
-          match acc with
-          | Some (d', n') when (d', n') <= (d, n) -> acc
-          | Some _ | None -> Some (d, n)))
-      None targets
-  in
-  match best with
-  | None -> None
-  | Some (_, n) -> Slicer.witness prov n
+  with_provenance ~jobs a (fun prov ->
+      let walk () = ignore (Slicer.slice ~prov a.sdg ~seeds mode) in
+      if jobs <= 1 then walk () else in_worker_domain walk;
+      let best =
+        List.fold_left
+          (fun acc n ->
+            match Slicer.distance prov n with
+            | None -> acc
+            | Some d -> (
+              match acc with
+              | Some (d', n') when (d', n') <= (d, n) -> acc
+              | Some _ | None -> Some (d, n)))
+          None targets
+      in
+      match best with
+      | None -> None
+      | Some (_, n) -> Slicer.witness prov n)
 
 (* ----- layered explain report ----- *)
 
@@ -307,7 +314,7 @@ let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
         ("mode", Slicer.mode_to_string mode) ]
     "engine.slice_report"
     (fun () ->
-      let prov = Slicer.create_provenance a.sdg in
+      with_provenance ~jobs a (fun prov ->
       let sub = data_submode mode in
       let boundary_modes =
         List.filter (fun m -> m <> mode)
@@ -452,7 +459,7 @@ let slice_report ?filter ?(jobs = 1) (a : analysis) ~(line : int)
       { sr_seed_line = line;
         sr_mode = mode;
         sr_layer_sizes = (np, na, nc);
-        sr_lines = lines })
+        sr_lines = lines }))
 
 (* ----- thinslice.explain/v1 JSON ----- *)
 
@@ -1133,11 +1140,13 @@ let expand_at_line ?filter (a : analysis) ~(line : int) : expand_flow list =
   let seeds = seeds_at_line_exn ?filter a line in
   let g = a.sdg in
   let slice = Slicer.slice g ~seeds Slicer.Thin in
+  let members = Slice_util.Bits.create ~capacity:(Sdg.num_nodes g) () in
+  List.iter (fun n -> ignore (Slice_util.Bits.add members n)) slice;
   let pairs = ref [] in
   List.iter
     (fun n ->
       Sdg.deps_iter g n (fun dep kind ->
-          if kind = Sdg.Producer_heap && List.mem dep slice then
+          if kind = Sdg.Producer_heap && Slice_util.Bits.mem members dep then
             pairs := (n, dep) :: !pairs))
     slice;
   List.map

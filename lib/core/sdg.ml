@@ -125,6 +125,26 @@ type heap_index = {
 
 module Edge_set = Hashtbl.Make (Int)
 
+(* Per-node query columns and the line index, rebuilt once per graph
+   generation (by [freeze], then by every committed [patch]) so that the
+   serve path reads arrays instead of hashing into the statement table:
+
+   - [loc]: each node's source location ([Loc.none] for formals and for
+     nodes whose statement the table no longer holds);
+   - [key]: a dense int per (file, line) for countable nodes, -1 for the
+     rest, so [key >= 0] is the countable bit.  Files own consecutive key
+     ranges in [String.compare] order, [base file + line], so ascending
+     keys are ascending (file, line);
+   - [line_off]/[line_nodes]: a CSR over line numbers (every file) of the
+     live nodes with a location, each row in ascending node order. *)
+type line_index = {
+  loc : Loc.t array;
+  key : int array;
+  num_keys : int;
+  line_off : int array;    (* length max line + 2 *)
+  line_nodes : int array;
+}
+
 type t = {
   p : Program.t;
   pta : Andersen.result;
@@ -140,6 +160,7 @@ type t = {
   mutable edge_count : int;
   edge_seen : unit Edge_set.t;
   mutable csr : csr option;    (* set by [freeze]; edge buffer dropped then *)
+  mutable lx : line_index option;  (* set by [freeze], rebuilt by [patch] *)
   hx : heap_index;             (* retained for incremental patching *)
   (* Incremental patch state.  A patched graph keeps its CSR for
      untouched rows and OVERLAYS the rows the patch rewrote; row lookup
@@ -166,6 +187,10 @@ let node_desc (g : t) (n : node) : node_desc = g.descs.(n)
 let num_nodes (g : t) = g.num_nodes
 
 let is_frozen (g : t) : bool = g.csr <> None
+
+(* Node retired by a patch?  ([dead] stays empty until the first one.) *)
+let is_dead (g : t) (n : node) : bool =
+  Array.length g.dead > 0 && g.dead.(n)
 
 let frozen_error what =
   invalid_arg (Printf.sprintf "Sdg.%s: graph is frozen (immutable)" what)
@@ -249,12 +274,125 @@ let compact_direction (g : t) ~(row : int -> int) ~(other : int -> int) :
   done;
   (off, dst, kind)
 
+(* ------------------------------------------------------------------ *)
+(* Query columns and the line index                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Build the columns and the line CSR for the current generation.  One
+   pass over the program's statements — in [Program.build_stmt_table]'s
+   order, so a statement id seen twice resolves as in the table — fills
+   stmt-indexed columns (statement ids are below [Program.stmt_count]):
+   the location, and the line, file id and countable site bit packed in
+   one int.  Every per-node step after that reads int arrays, never a
+   location record or a hash table.  File names are hashed at most once
+   per statement — consecutive statements almost always share the file
+   string, which a physical-equality check catches first.  Locations
+   with a negative line (the front end produces none) get no key and no
+   row. *)
+let build_line_index (g : t) : line_index =
+  let n = g.num_nodes in
+  let nstmts = Program.stmt_count g.p in
+  let s_loc = Array.make nstmts Loc.none in
+  (* [file lsl 32 lor line lsl 1 lor countable site], -1: no location *)
+  let s_info = Array.make nstmts (-1) in
+  let file_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let file_max = ref [||] in               (* largest line, by file id *)
+  let last_file = ref None in
+  let file_id (f : string) : int =
+    match !last_file with
+    | Some (f', id) when f' == f -> id
+    | _ ->
+      let id =
+        match Hashtbl.find_opt file_ids f with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length file_ids in
+          Hashtbl.replace file_ids f id;
+          file_max := Array.append !file_max [| -1 |];
+          id
+      in
+      last_file := Some (f, id);
+      id
+  in
+  let record s (l : Loc.t) (countable_site : bool) =
+    s_loc.(s) <- l;
+    if Loc.is_none l || l.Loc.line < 0 then s_info.(s) <- -1
+    else begin
+      let f = file_id l.Loc.file in
+      if l.Loc.line > !file_max.(f) then !file_max.(f) <- l.Loc.line;
+      s_info.(s) <-
+        (f lsl 32) lor (l.Loc.line lsl 1) lor Bool.to_int countable_site
+    end
+  in
+  Program.iter_methods g.p (fun m ->
+      Instr.iter_instrs m (fun _ i ->
+          record i.Instr.i_id i.Instr.i_loc
+            (match i.Instr.i_kind with Instr.Phi _ -> false | _ -> true));
+      Instr.iter_terms m (fun _ t ->
+          record t.Instr.t_id t.Instr.t_loc
+            (match t.Instr.t_kind with Instr.Goto _ -> false | _ -> true)));
+  (* Files own consecutive key ranges, in name order. *)
+  let base = Array.make (Hashtbl.length file_ids) 0 in
+  let num_keys =
+    List.fold_left
+      (fun next f ->
+        let id = Hashtbl.find file_ids f in
+        base.(id) <- next;
+        next + !file_max.(id) + 1)
+      0
+      (List.sort String.compare
+         (Hashtbl.fold (fun f _ acc -> f :: acc) file_ids []))
+  in
+  let max_line = Array.fold_left max (-1) !file_max in
+  let loc = Array.make n Loc.none in
+  let key = Array.make n (-1) in
+  let row = Array.make n (-1) in           (* line of an indexed node *)
+  let line_off = Array.make (max_line + 2) 0 in
+  for i = 0 to n - 1 do
+    let s, actual =
+      match g.descs.(i) with
+      | Formal _ -> (-1, false)
+      | Stmt (_, s) -> (s, false)
+      | Actual_in (_, s, _) -> (s, true)
+    in
+    if s >= 0 && s < nstmts then begin
+      loc.(i) <- s_loc.(s);
+      let info = s_info.(s) in
+      if info >= 0 then begin
+        let line = (info lsr 1) land 0x7fff_ffff in
+        if actual || info land 1 = 1 then
+          key.(i) <- base.(info lsr 32) + line;
+        if not (is_dead g i) then begin
+          row.(i) <- line;
+          line_off.(line) <- line_off.(line) + 1
+        end
+      end
+    end
+  done;
+  for l = 1 to max_line + 1 do
+    line_off.(l) <- line_off.(l) + line_off.(l - 1)
+  done;
+  (* [line_off] holds row ends; placing nodes from the highest id down,
+     each just below its row's cursor, leaves every row ascending and
+     [line_off] at the row starts. *)
+  let line_nodes = Array.make (max 1 line_off.(max_line + 1)) 0 in
+  for i = n - 1 downto 0 do
+    let line = row.(i) in
+    if line >= 0 then begin
+      let j = line_off.(line) - 1 in
+      line_off.(line) <- j;
+      line_nodes.(j) <- i
+    end
+  done;
+  { loc; key; num_keys; line_off; line_nodes }
+
 (* Compact the edge buffer into the immutable CSR layout and drop it and
-   the dedup table (the graph no longer accepts edges).  Idempotent;
-   recorded under the "sdg.freeze" span. *)
+   the dedup table (the graph no longer accepts edges), then build the
+   query columns.  Idempotent; recorded under the "sdg.freeze" span. *)
 let freeze (g : t) : unit =
   if not (is_frozen g) then
     Slice_obs.span "sdg.freeze" (fun () ->
+        g.lx <- Some (build_line_index g);
         let n = g.num_nodes and buf = g.edge_buf in
         let from e = buf.(2 * e) and on e = buf.((2 * e) + 1) lsr 3 in
         let deps_off, deps_dst, deps_kind =
@@ -354,40 +492,24 @@ let uses (g : t) (n : node) : (node * edge_kind) list =
     | None -> unfrozen_error "uses"
     | Some c -> row_to_list c.uses_off c.uses_dst c.uses_kind n)
 
+let line_index (g : t) (what : string) : line_index =
+  match g.lx with Some ix -> ix | None -> unfrozen_error what
+
 (* The source location of a node ([Loc.none] for formals). *)
-let node_loc (g : t) (n : node) : Loc.t =
-  match g.descs.(n) with
-  | Formal _ -> Loc.none
-  | Stmt (_, s) | Actual_in (_, s, _) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | Some si -> Program.stmt_loc si
-    | None -> Loc.none)
+let node_loc (g : t) (n : node) : Loc.t = (line_index g "node_loc").loc.(n)
 
 let node_stmt (g : t) (n : node) : Instr.stmt_id option =
   match g.descs.(n) with
   | Stmt (_, s) | Actual_in (_, s, _) -> Some s
   | Formal _ -> None
 
+let line_key (g : t) (n : node) : int = (line_index g "line_key").key.(n)
+
+let num_line_keys (g : t) : int = (line_index g "num_line_keys").num_keys
+
 (* Statements a user would read: real instructions with a source location,
    excluding phis and compiler-internal statements. *)
-let node_countable (g : t) (n : node) : bool =
-  match g.descs.(n) with
-  | Formal _ -> false
-  | Actual_in (_, s, _) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | None -> false
-    | Some si -> not (Loc.is_none (Program.stmt_loc si)))
-  | Stmt (_, s) -> (
-    match Hashtbl.find_opt g.stmt_table s with
-    | None -> false
-    | Some si -> (
-      (not (Loc.is_none (Program.stmt_loc si)))
-      &&
-      match si.Program.s_site with
-      | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
-      | Program.Site_instr _ -> true
-      | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
-      | Program.Site_term _ -> true))
+let node_countable (g : t) (n : node) : bool = line_key g n >= 0
 
 let pp_node (g : t) ppf (n : node) : unit =
   match g.descs.(n) with
@@ -750,6 +872,7 @@ let build ?arena (p : Program.t) (pta : Andersen.result) : t =
       edge_count = 0;
       edge_seen = Edge_set.create 4096;
       csr = None;
+      lx = None;
       hx;
       ov_deps = [||];
       ov_uses = [||];
@@ -855,9 +978,6 @@ let build ?arena (p : Program.t) (pta : Andersen.result) : t =
 (* ------------------------------------------------------------------ *)
 
 let generation (g : t) = g.generation
-
-let is_dead (g : t) (n : node) : bool =
-  Array.length g.dead > 0 && g.dead.(n)
 
 let num_live_nodes (g : t) = g.num_nodes - g.dead_count
 
@@ -1200,6 +1320,7 @@ let patch (g : t) ~(changed : Instr.method_qname list)
       g.ov_uses.(d) <- Some ([||], [||]))
     !newly_dead;
   g.stmt_table <- Program.build_stmt_table g.p;
+  g.lx <- Some (build_line_index g);
   g.generation <- g.generation + 1;
   g.patched <- true;
   (* Segments = method contexts; refrozen = contexts whose rows moved. *)
@@ -1223,23 +1344,18 @@ let patch (g : t) ~(changed : Instr.method_qname list)
 (* Lookups used by drivers                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* All statement nodes whose source line matches.  Dead nodes of a
-   patched graph skip naturally (their retired statement ids are absent
-   from the rebuilt statement table, so [node_loc] is none), but check
-   explicitly anyway. *)
-let nodes_at_line (g : t) ~(file : string option) ~(line : int) : node list =
-  let out = ref [] in
-  for n = 0 to g.num_nodes - 1 do
-    if not (is_dead g n) then begin
-      let loc = node_loc g n in
-      if
-        (not (Loc.is_none loc))
-        && loc.Loc.line = line
-        && (match file with None -> true | Some f -> String.equal f loc.Loc.file)
-      then out := n :: !out
-    end
-  done;
-  List.rev !out
+(* All live nodes whose source line matches, ascending: one row of the
+   line index. *)
+let nodes_at_line (g : t) ~(line : int) : node list =
+  let ix = line_index g "nodes_at_line" in
+  if line < 0 || line + 1 >= Array.length ix.line_off then []
+  else begin
+    let out = ref [] in
+    for j = ix.line_off.(line + 1) - 1 downto ix.line_off.(line) do
+      out := ix.line_nodes.(j) :: !out
+    done;
+    !out
+  end
 
 (* Number of scalar statements: distinct statement ids that appear as nodes
    (context clones counted once), matching Table 1's "SDG Statements". *)

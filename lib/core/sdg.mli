@@ -72,7 +72,11 @@ val build : ?arena:Arena.t -> Program.t -> Andersen.result -> t
 (** Count each node's degree and fill the immutable CSR layout (flat
     [int] arrays [deps_off]/[deps_dst]/[deps_kind] plus the forward
     mirror, edge kinds packed as tagged ints), then release the edge
-    buffer.  Every row lists its edges newest first.  After freezing,
+    buffer.  Every row lists its edges newest first.  Freezing also
+    builds the per-node query columns ({!node_loc}, {!node_countable},
+    {!line_key}) and the line index behind {!nodes_at_line}, reading the
+    statement table once; {!patch} rebuilds them for each new
+    generation, so they never lag the graph.  After freezing,
     {!deps_iter}/{!uses_iter} run allocation-free over the flat arrays
     and the graph rejects further [add_edge]/interning
     ([Invalid_argument]).  Idempotent; recorded under the
@@ -91,8 +95,8 @@ val node_desc : t -> node -> node_desc
 val num_nodes : t -> int
 val find_node : t -> node_desc -> node option
 
-(** The adjacency accessors below read the frozen graph and raise
-    [Invalid_argument] before {!freeze}. *)
+(** The adjacency accessors and per-node columns below read the frozen
+    graph and raise [Invalid_argument] before {!freeze}. *)
 
 (** Backward adjacency iteration: the nodes [n] depends on.  The hot-path
     accessor — allocation-free. *)
@@ -108,19 +112,34 @@ val deps : t -> node -> (node * edge_kind) list
 (** Forward adjacency as a list (allocates; prefer {!uses_iter}). *)
 val uses : t -> node -> (node * edge_kind) list
 
-(** Source location of a node ([Loc.none] for formals). *)
+(** Source location of a node ([Loc.none] for formals).  An array
+    read. *)
 val node_loc : t -> node -> Loc.t
 
 val node_stmt : t -> node -> Instr.stmt_id option
 
 (** Statements a user would read: real instructions with a source
-    location, excluding phis and compiler-internal statements. *)
+    location, excluding phis and compiler-internal statements.
+    [line_key g n >= 0]. *)
 val node_countable : t -> node -> bool
+
+(** The (file, line) of a countable node as a dense int in
+    [0 .. num_line_keys g - 1]; [-1] for a node that is not countable.
+    Two countable nodes share a key iff they share file and line, and
+    keys ascend with (file, line) in {!Slice_ir.Loc.compare} order — what
+    lets the emission of slice lines dedup through a stamp array and sort
+    ints. *)
+val line_key : t -> node -> int
+
+(** Size of the {!line_key} range for the current generation. *)
+val num_line_keys : t -> int
 
 val pp_node : t -> Format.formatter -> node -> unit
 
-(** All statement nodes whose source line matches. *)
-val nodes_at_line : t -> file:string option -> line:int -> node list
+(** All live nodes whose source line (in any file) matches, in ascending
+    node order; [[]] for a line no node has.  One row of the line index:
+    the cost is the row, not the graph. *)
+val nodes_at_line : t -> line:int -> node list
 
 (** Distinct statement ids appearing as nodes (context clones counted
     once) — the paper's Table 1 "SDG Statements". *)

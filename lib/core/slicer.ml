@@ -177,6 +177,19 @@ let shrink_scratch (s : scratch) ~(keep : int) : unit =
     s.touched <- Array.make n 0
   end
 
+(* The walks count their traversal telemetry in locals and add it here
+   once per walk: each counter update is a [Domain.DLS] lookup, too dear
+   for the edge loop.  A costly edge taken spends one unit of budget.
+   Zero counts are not added, so a counter the walk never moved stays
+   unregistered, exactly as with one update per event. *)
+let add_walk_counters ~visited ~followed ~costly ~skipped =
+  let add c n = if n <> 0 then Slice_obs.add c n in
+  add c_nodes_visited visited;
+  add c_edges_followed followed;
+  add c_edges_costly costly;
+  add c_budget_spent costly;
+  add c_edges_skipped skipped
+
 (* Reachability keeping, per node, the best (largest) remaining budget at
    which it has been reached: a node reached with more budget left may
    reveal further base-pointer edges.  Backward and forward slicing share
@@ -194,6 +207,9 @@ let walk_scratch (scratch : scratch)
   let slots = Array.length ring in
   let head = ref 0 and tail = ref 0 and count = ref 0 and peak = ref 0 in
   let tcount = ref 0 in
+  (* telemetry counted locally, added once per walk *)
+  let visited = ref 0 and followed = ref 0 and costly = ref 0 in
+  let skipped = ref 0 in
   let push node budget =
     let b1 = budget + 1 in
     if Char.code (Bytes.unsafe_get best node) < b1 then begin
@@ -211,6 +227,22 @@ let walk_scratch (scratch : scratch)
       end
     end
   in
+  (* One edge callback for the whole walk, reading the popped node's
+     budget from [cur], instead of a closure allocated per node. *)
+  let cur = ref 0 in
+  let visit dep kind =
+    match edge_policy mode kind with
+    | `Follow ->
+      incr followed;
+      push dep !cur
+    | `Costly ->
+      if !cur > 0 then begin
+        incr costly;
+        push dep (!cur - 1)
+      end
+      else incr skipped
+    | `Skip -> incr skipped
+  in
   (* [initial_budget] is already clamped to [max_aliasing_budget], which
      fits the byte-wide [best] table (budget + 1 <= 255) *)
   let k0 = initial_budget mode in
@@ -220,22 +252,12 @@ let walk_scratch (scratch : scratch)
     head := (!head + 1) mod slots;
     decr count;
     Slice_util.Bits.remove queued node;
-    let budget = Char.code (Bytes.unsafe_get best node) - 1 in
-    Slice_obs.bump c_nodes_visited;
-    iter g node (fun dep kind ->
-        match edge_policy mode kind with
-        | `Follow ->
-          Slice_obs.bump c_edges_followed;
-          push dep budget
-        | `Costly ->
-          if budget > 0 then begin
-            Slice_obs.bump c_edges_costly;
-            Slice_obs.bump c_budget_spent;
-            push dep (budget - 1)
-          end
-          else Slice_obs.bump c_edges_skipped
-        | `Skip -> Slice_obs.bump c_edges_skipped)
+    cur := Char.code (Bytes.unsafe_get best node) - 1;
+    incr visited;
+    iter g node visit
   done;
+  add_walk_counters ~visited:!visited ~followed:!followed ~costly:!costly
+    ~skipped:!skipped;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
   (* [queued] is already all-zero again: every enqueued node was popped.
      Sort the touched prefix (each node appears exactly once) for the
@@ -243,7 +265,7 @@ let walk_scratch (scratch : scratch)
   let size = !tcount in
   Slice_obs.observe h_slice_nodes (float_of_int size);
   let result = Array.sub touched 0 size in
-  Array.sort (fun (a : int) b -> compare a b) result;
+  Array.stable_sort Int.compare result;
   for i = 0 to size - 1 do
     Bytes.unsafe_set best (Array.unsafe_get touched i) '\000'
   done;
@@ -357,6 +379,8 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
   let slots = Array.length ring in
   let head = ref 0 and tail = ref 0 and count = ref 0 and peak = ref 0 in
   let tcount = ref 0 in
+  let visited = ref 0 and followed = ref 0 and costly = ref 0 in
+  let skipped = ref 0 in
   let push node budget par ktag =
     let b1 = budget + 1 in
     if Char.code (Bytes.unsafe_get best node) < b1 then begin
@@ -380,6 +404,21 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
       end
     end
   in
+  (* the popped node and its budget, read by the one edge callback *)
+  let cur_node = ref 0 and cur = ref 0 in
+  let visit dep kind =
+    match edge_policy mode kind with
+    | `Follow ->
+      incr followed;
+      push dep !cur !cur_node (Sdg.edge_kind_tag kind)
+    | `Costly ->
+      if !cur > 0 then begin
+        incr costly;
+        push dep (!cur - 1) !cur_node (Sdg.edge_kind_tag kind)
+      end
+      else incr skipped
+    | `Skip -> incr skipped
+  in
   let k0 = initial_budget mode in
   List.iter (fun s -> push s k0 (-1) (-1)) seeds;
   while !count > 0 do
@@ -387,27 +426,18 @@ let walk_scratch_prov (scratch : scratch) (prov : provenance)
     head := (!head + 1) mod slots;
     decr count;
     Slice_util.Bits.remove queued node;
-    let budget = Char.code (Bytes.unsafe_get best node) - 1 in
-    Slice_obs.bump c_nodes_visited;
-    iter g node (fun dep kind ->
-        match edge_policy mode kind with
-        | `Follow ->
-          Slice_obs.bump c_edges_followed;
-          push dep budget node (Sdg.edge_kind_tag kind)
-        | `Costly ->
-          if budget > 0 then begin
-            Slice_obs.bump c_edges_costly;
-            Slice_obs.bump c_budget_spent;
-            push dep (budget - 1) node (Sdg.edge_kind_tag kind)
-          end
-          else Slice_obs.bump c_edges_skipped
-        | `Skip -> Slice_obs.bump c_edges_skipped)
+    cur_node := node;
+    cur := Char.code (Bytes.unsafe_get best node) - 1;
+    incr visited;
+    iter g node visit
   done;
+  add_walk_counters ~visited:!visited ~followed:!followed ~costly:!costly
+    ~skipped:!skipped;
   Slice_obs.max_gauge g_frontier_peak (float_of_int !peak);
   let size = !tcount in
   Slice_obs.observe h_slice_nodes (float_of_int size);
   let result = Array.sub touched 0 size in
-  Array.sort (fun (a : int) b -> compare a b) result;
+  Array.stable_sort Int.compare result;
   for i = 0 to size - 1 do
     Bytes.unsafe_set best (Array.unsafe_get touched i) '\000'
   done;
@@ -497,10 +527,53 @@ let domain_scratch_bytes () : int =
   | Some s -> scratch_bytes s
   | None -> 0
 
+(* Per-domain dedup stamps of [nodes_to_lines], indexed by
+   [Sdg.line_key]: a key is seen in this call iff its mark is [ls_gen]. *)
+type line_stamp = { mutable ls_mark : int array; mutable ls_gen : int }
+
+let dls_line_stamp : line_stamp Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { ls_mark = [||]; ls_gen = 0 })
+
+(* One provenance per DOMAIN for the single-domain provenance queries
+   (explain, report), lent out by [with_domain_provenance] so a request
+   does not allocate five [num_nodes] arrays.  Its generation stamp makes
+   each borrow's reset O(1).  While lent, the cell is empty: a nested
+   borrow gets a fresh provenance instead of the one in use. *)
+let dls_prov : provenance option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* After the borrow the records are dropped along with the graph
+   reference ([pv_mode]/[pv_graph] cleared): the callback has read what
+   it needs, and an idle domain must not pin an evicted program's
+   graph. *)
+let with_domain_provenance (g : Sdg.t) (f : provenance -> 'a) : 'a =
+  let cell = Domain.DLS.get dls_prov in
+  let p =
+    match !cell with
+    | Some p ->
+      cell := None;
+      p
+    | None -> create_provenance g
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      p.pv_mode <- None;
+      p.pv_graph <- None;
+      cell := Some p)
+    (fun () -> f p)
+
+(* Release the calling domain's walk buffers, its lent-out provenance and
+   its line-emission stamps down to [keep] nodes (stamps are per line
+   key; they are simply dropped above [keep] and regrow on demand). *)
 let shrink_domain_scratch ~(keep : int) : unit =
-  match !(Domain.DLS.get dls_scratch) with
+  (match !(Domain.DLS.get dls_scratch) with
   | Some s -> shrink_scratch s ~keep
-  | None -> ()
+  | None -> ());
+  (match !(Domain.DLS.get dls_prov) with
+  | Some p -> shrink_provenance p ~keep
+  | None -> ());
+  let st = Domain.DLS.get dls_line_stamp in
+  if Array.length st.ls_mark > max 1 keep then st.ls_mark <- [||]
 
 (* Resolve the scratch an entry point walks on: the caller's explicit
    handle (grown to fit [g]) if given, else the calling domain's shared
@@ -605,22 +678,33 @@ let chop (g : Sdg.t) ~(source : Sdg.node list) ~(sink : Sdg.node list)
   inter_sorted forward backward
 
 (* Distinct source locations of countable nodes, the granularity a user
-   reads. *)
+   reads: the first node of each (file, line) in input order, sorted.
+   Dedup runs through a per-domain stamp array over the graph's
+   [Sdg.line_key]s (a new stamp per call, so no reset), and each kept
+   node is packed under its key into one int, so sorting those ints
+   sorts by (file, line) — the [Loc.compare] order, since the kept
+   locations differ in file or line.  Node ids stay below 2^29 (see
+   [Sdg.add_edge]). *)
 let nodes_to_lines (g : Sdg.t) (nodes : Sdg.node list) : Slice_ir.Loc.t list =
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
+  let node_bits = 30 in
+  let st = Domain.DLS.get dls_line_stamp in
+  let k = Sdg.num_line_keys g in
+  if Array.length st.ls_mark < k then st.ls_mark <- Array.make k 0;
+  st.ls_gen <- st.ls_gen + 1;
+  let mark = st.ls_mark and gen = st.ls_gen in
+  let kept = ref [] in
   List.iter
     (fun n ->
-      if Sdg.node_countable g n then begin
-        let loc = Sdg.node_loc g n in
-        let key = (loc.Slice_ir.Loc.file, loc.Slice_ir.Loc.line) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          out := loc :: !out
-        end
+      let key = Sdg.line_key g n in
+      if key >= 0 && Array.unsafe_get mark key <> gen then begin
+        Array.unsafe_set mark key gen;
+        kept := ((key lsl node_bits) lor n) :: !kept
       end)
     nodes;
-  List.sort Slice_ir.Loc.compare !out
+  let packed = Array.of_list !kept in
+  Array.stable_sort Int.compare packed;
+  let mask = (1 lsl node_bits) - 1 in
+  Array.fold_right (fun x acc -> Sdg.node_loc g (x land mask) :: acc) packed []
 
 let slice_lines (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Slice_ir.Loc.t list =
   nodes_to_lines g (slice g ~seeds mode)
@@ -630,7 +714,18 @@ let slice_lines (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) : Slice_ir.Lo
    sharing a line number would otherwise yield the same int twice (the
    multi-file duplicate-line bug). *)
 let locs_to_line_numbers (locs : Slice_ir.Loc.t list) : int list =
-  List.sort_uniq compare (List.map (fun l -> l.Slice_ir.Loc.line) locs)
+  (* sorted as an int array: [List.sort_uniq] allocates a list per
+     merge level *)
+  let a = Array.make (List.length locs) 0 in
+  List.iteri (fun i l -> Array.unsafe_set a i l.Slice_ir.Loc.line) locs;
+  Array.stable_sort Int.compare a;
+  let out = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    match !out with
+    | x :: _ when x = a.(i) -> ()
+    | _ -> out := a.(i) :: !out
+  done;
+  !out
 
 let slice_line_numbers (g : Sdg.t) ~(seeds : Sdg.node list) (mode : mode) :
     int list =

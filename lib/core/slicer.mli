@@ -72,7 +72,10 @@ val shrink_scratch : scratch -> keep:int -> unit
 (** Capacity/shrink for the calling domain's implicit [Domain.DLS]
     scratch — the buffers used by traversals without an explicit
     [?scratch].  Capacity is 0 until the first such traversal in this
-    domain.  {!shrink_domain_scratch} is a no-op then. *)
+    domain.  {!shrink_domain_scratch} also shrinks the domain's lent-out
+    provenance ({!with_domain_provenance}) to [keep] nodes and drops the
+    {!nodes_to_lines} dedup stamps when they exceed it; it is a no-op
+    for buffers the domain has not created yet. *)
 val domain_scratch_capacity : unit -> int
 
 (** {!scratch_bytes} of the calling domain's implicit scratch; 0 before
@@ -101,6 +104,15 @@ type provenance
 
 (** A provenance sized for [g] (grow-only; any graph may use it later). *)
 val create_provenance : Sdg.t -> provenance
+
+(** Run [f] with the calling domain's provenance, grow-only and reused
+    across calls (a fresh one on the first call, or when the domain's is
+    already lent out).  The records are valid only inside [f]: on return
+    the provenance forgets its walk and its graph, so {!witness} and
+    {!distance} must be read before [f] returns.  For requests served on
+    one domain; a walk in a worker domain takes its own
+    {!create_provenance}. *)
+val with_domain_provenance : Sdg.t -> (provenance -> 'a) -> 'a
 
 (** Number of nodes the provenance side tables currently cover. *)
 val provenance_capacity : provenance -> int
@@ -179,8 +191,11 @@ val forward_slice_batch :
 val chop :
   Sdg.t -> source:Sdg.node list -> sink:Sdg.node list -> mode -> Sdg.node list
 
-(** Distinct source locations of countable nodes, sorted — the projection
-    {!slice_lines} applies to a slice. *)
+(** Distinct source locations of countable nodes, sorted by
+    {!Slice_ir.Loc.compare} — the projection {!slice_lines} applies to a
+    slice.  Each (file, line) is represented by its first node in
+    [nodes].  O(|nodes| + lines log lines): dedup through
+    {!Sdg.line_key} and a per-domain stamp array, no hashing. *)
 val nodes_to_lines : Sdg.t -> Sdg.node list -> Slice_ir.Loc.t list
 
 (** Project locations to sorted-distinct line NUMBERS.  Distinct files can

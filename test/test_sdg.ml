@@ -121,7 +121,7 @@ let test_control_dependences () =
   let a = analysis src in
   let g = a.Engine.sdg in
   let assign_line = line_of ~src ~pattern:"y = 1;" in
-  let nodes = Sdg.nodes_at_line g ~file:None ~line:assign_line in
+  let nodes = Sdg.nodes_at_line g ~line:assign_line in
   let has_ctl_to_if =
     List.exists
       (fun n ->
@@ -144,7 +144,7 @@ void main(String[] args) { helper(); }|}
   (* the print inside helper is control-dependent on main's call site *)
   let print_line = line_of ~src ~pattern:{|print("h");|} in
   let call_line = line_of ~src ~pattern:"{ helper(); }" in
-  let nodes = Sdg.nodes_at_line g ~file:None ~line:print_line in
+  let nodes = Sdg.nodes_at_line g ~line:print_line in
   let ok =
     List.exists
       (fun n ->
@@ -279,6 +279,218 @@ let test_heap_counters_exact () =
     [ ("fig1", Paper_figures.fig1); ("fig2", Paper_figures.fig2);
       ("nanoxml", Prog_nanoxml.base); ("javac", Prog_javac.base) ]
 
+(* ----- line index and query columns vs the whole-graph scan ----- *)
+
+(* The lookups the frozen columns and the line index replaced, kept here
+   as the oracle: every answer comes from the statement table, node by
+   node. *)
+let scan_loc (g : Sdg.t) (n : Sdg.node) : Slice_ir.Loc.t =
+  match Sdg.node_desc g n with
+  | Sdg.Formal _ -> Slice_ir.Loc.none
+  | Sdg.Stmt (_, s) | Sdg.Actual_in (_, s, _) -> (
+    match Hashtbl.find_opt (Sdg.stmt_table g) s with
+    | Some si -> Slice_ir.Program.stmt_loc si
+    | None -> Slice_ir.Loc.none)
+
+let scan_countable (g : Sdg.t) (n : Sdg.node) : bool =
+  let open Slice_ir in
+  match Sdg.node_desc g n with
+  | Sdg.Formal _ -> false
+  | Sdg.Actual_in (_, s, _) -> (
+    match Hashtbl.find_opt (Sdg.stmt_table g) s with
+    | None -> false
+    | Some si -> not (Loc.is_none (Program.stmt_loc si)))
+  | Sdg.Stmt (_, s) -> (
+    match Hashtbl.find_opt (Sdg.stmt_table g) s with
+    | None -> false
+    | Some si -> (
+      (not (Loc.is_none (Program.stmt_loc si)))
+      &&
+      match si.Program.s_site with
+      | Program.Site_instr { Instr.i_kind = Instr.Phi _; _ } -> false
+      | Program.Site_instr _ -> true
+      | Program.Site_term { Instr.t_kind = Instr.Goto _; _ } -> false
+      | Program.Site_term _ -> true))
+
+let scan_nodes_at_line (g : Sdg.t) (line : int) : Sdg.node list =
+  let out = ref [] in
+  for n = 0 to Sdg.num_nodes g - 1 do
+    if not (Sdg.is_dead g n) then begin
+      let loc = scan_loc g n in
+      if (not (Slice_ir.Loc.is_none loc)) && loc.Slice_ir.Loc.line = line then
+        out := n :: !out
+    end
+  done;
+  List.rev !out
+
+let scan_nodes_to_lines (g : Sdg.t) (nodes : Sdg.node list) :
+    Slice_ir.Loc.t list =
+  let seen = Hashtbl.create 64 in
+  let out = ref [] in
+  List.iter
+    (fun n ->
+      if scan_countable g n then begin
+        let loc = scan_loc g n in
+        let key = (loc.Slice_ir.Loc.file, loc.Slice_ir.Loc.line) in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          out := loc :: !out
+        end
+      end)
+    nodes;
+  List.sort Slice_ir.Loc.compare !out
+
+let loc_str (l : Slice_ir.Loc.t) =
+  Printf.sprintf "%s:%d:%d" l.Slice_ir.Loc.file l.Slice_ir.Loc.line
+    l.Slice_ir.Loc.col
+
+(* Columns, keys, every line's row (0, past the last line, and one
+   negative line included), and the emission of every line's thin slice
+   plus the whole node range in both orders (repeats and non-countable
+   nodes, first occurrence per line). *)
+let check_line_index ~(what : string) (g : Sdg.t) : unit =
+  let n = Sdg.num_nodes g in
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  let max_line = ref 0 in
+  for i = 0 to n - 1 do
+    let l = scan_loc g i in
+    if not (Slice_ir.Loc.equal (Sdg.node_loc g i) l) then
+      fail "node %d: node_loc %s, scan %s" i (loc_str (Sdg.node_loc g i))
+        (loc_str l);
+    if Sdg.node_countable g i <> scan_countable g i then
+      fail "node %d: node_countable differs" i;
+    if (Sdg.line_key g i >= 0) <> scan_countable g i then
+      fail "node %d: line_key sign differs from countable" i;
+    if Sdg.line_key g i >= Sdg.num_line_keys g then
+      fail "node %d: line_key past num_line_keys" i;
+    max_line := max !max_line l.Slice_ir.Loc.line
+  done;
+  (* keys ascend with (file, line) and change exactly where it does *)
+  let by_loc =
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.filter_map
+         (fun i ->
+           if scan_countable g i then
+             let l = scan_loc g i in
+             Some ((l.Slice_ir.Loc.file, l.Slice_ir.Loc.line), Sdg.line_key g i)
+           else None)
+         (List.init n Fun.id))
+  in
+  let rec pairs = function
+    | (fl1, k1) :: ((fl2, k2) :: _ as rest) ->
+      if (fl1 = fl2) <> (k1 = k2) || (fl1 < fl2 && k1 >= k2) then
+        fail "line keys %d/%d disagree with (file, line) order" k1 k2;
+      pairs rest
+    | _ -> ()
+  in
+  pairs by_loc;
+  let slices = ref [ List.init n Fun.id; List.rev (List.init n Fun.id) ] in
+  for line = -1 to !max_line + 1 do
+    let expect = scan_nodes_at_line g line in
+    if Sdg.nodes_at_line g ~line <> expect then
+      fail "nodes_at_line %d differs from the scan" line;
+    if expect <> [] then
+      slices := Slicer.slice g ~seeds:expect Slicer.Thin :: !slices
+  done;
+  List.iter
+    (fun nodes ->
+      let got = Slicer.nodes_to_lines g nodes in
+      let expect = scan_nodes_to_lines g nodes in
+      if List.length got <> List.length expect
+         || not (List.for_all2 Slice_ir.Loc.equal got expect)
+      then
+        fail "nodes_to_lines [%s] differs from the Hashtbl emission [%s]"
+          (String.concat "; " (List.map loc_str got))
+          (String.concat "; " (List.map loc_str expect)))
+    !slices
+
+let test_line_index_paper_workloads () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun obj_sens ->
+          let g =
+            (Engine.of_source ~obj_sens ~file:(name ^ ".tj") src).Engine.sdg
+          in
+          check_line_index
+            ~what:(Printf.sprintf "%s obj_sens=%b" name obj_sens)
+            g)
+        [ true; false ])
+    Suites.paper_workloads
+
+(* Two files that share line numbers: a line's row holds both files'
+   nodes, and emission keeps a.tj:N and b.tj:N apart. *)
+let test_line_index_two_files () =
+  let a_src =
+    {|class Box {
+  int v;
+  int get() { return this.v; }
+  void put(int x) { this.v = x; }
+}
+|}
+  in
+  let b_src =
+    {|void main(String[] args) {
+  Box b = new Box();
+  int k = 40 + 2;
+  b.put(k);
+  print(itoa(b.get()));
+}
+|}
+  in
+  let a = Engine.of_sources [ ("a.tj", a_src); ("b.tj", b_src) ] in
+  let g = a.Engine.sdg in
+  check_line_index ~what:"two files" g;
+  let files_at line =
+    List.sort_uniq compare
+      (List.map
+         (fun n -> (Sdg.node_loc g n).Slice_ir.Loc.file)
+         (Sdg.nodes_at_line g ~line))
+  in
+  Alcotest.(check (list string)) "line 4 row spans both files"
+    [ "a.tj"; "b.tj" ] (files_at 4);
+  let locs =
+    Slicer.nodes_to_lines g
+      (Slicer.slice g ~seeds:(Engine.seeds_at_line_exn a 5) Slicer.Thin)
+  in
+  let has f l =
+    List.exists
+      (fun loc -> loc.Slice_ir.Loc.file = f && loc.Slice_ir.Loc.line = l)
+      locs
+  in
+  Alcotest.(check bool) "a.tj:4 emitted" true (has "a.tj" 4);
+  Alcotest.(check bool) "b.tj:4 emitted" true (has "b.tj" 4)
+
+(* After every tier of [Engine.update] the handle's index must match a
+   scan of the updated graph.  The patched tier rewrites the graph in
+   place: a stale index would still list the retired nodes. *)
+let test_line_index_after_update () =
+  let file = Test_incremental.file and replace = Test_incremental.replace in
+  let step (h, src) (tier, o, n) =
+    let src' = if o = "" then src else replace src o n in
+    let h', rep = Engine.update h [ (file, src') ] in
+    let got = Engine.update_path_to_string rep.Engine.up_path in
+    Alcotest.(check string) ("tier of edit " ^ n) tier got;
+    let g = h'.Engine.h_analysis.Engine.sdg in
+    check_line_index ~what:("after " ^ got) g;
+    (h', src')
+  in
+  let base = Test_incremental.base_src in
+  let h0 = Engine.load [ (file, base) ] in
+  let h, _ =
+    List.fold_left step (h0, base)
+      [ ("noop", "", "");
+        ("patched", "x * 2", "x * 3");
+        ("patched", "v + 0", "v + 1");
+        ("resolved-incremental", "void set(int v) { this.f = v + 1; }",
+          "void set(int v) { A t = new A(); this.f = v; }");
+        ("resolved-fresh", "A a = new A();", "A a = new A(); A c = a;");
+        ("patched", "a.set(5)", "a.set(7)");
+        ("rebuilt", "int f;", "int f; int f2;") ]
+  in
+  ignore h
+
 let suite =
   [ Alcotest.test_case "fig2 edge classes" `Quick test_fig2_edge_classes;
     Alcotest.test_case "param/return wiring" `Quick test_param_and_return_wiring;
@@ -292,4 +504,10 @@ let suite =
       test_freeze_preserves_adjacency;
     Alcotest.test_case "freeze csr telemetry" `Quick
       test_freeze_counts_csr_telemetry;
-    Alcotest.test_case "heap counters exact" `Quick test_heap_counters_exact ]
+    Alcotest.test_case "heap counters exact" `Quick test_heap_counters_exact;
+    Alcotest.test_case "line index == scan (paper workloads)" `Quick
+      test_line_index_paper_workloads;
+    Alcotest.test_case "line index == scan (two files)" `Quick
+      test_line_index_two_files;
+    Alcotest.test_case "line index == scan (after each update tier)" `Quick
+      test_line_index_after_update ]
